@@ -274,12 +274,11 @@ fn bench_cache_warm(st: &CacheBenchState) -> Result<(), String> {
     Ok(())
 }
 
-/// Shared state for the `stream_climate_batch_{cold,warm,rayon}` trio.
-/// `cold` and `rayon` run the *same* uncached batch pipeline over the
-/// same member-tagged ensemble — streaming executor vs `run_batch`'s
-/// whole-batch rayon path, the parity comparison. `warm` runs the
-/// cached batch pipeline against a primed cache, so every stage
-/// short-circuits its channel hop (fast-path replay).
+/// Shared state for the `stream_climate_batch_{cold,warm}` pair.
+/// `cold` runs the uncached batch pipeline over a member-tagged
+/// ensemble; `warm` runs the cached batch pipeline over the same
+/// ensemble against a primed cache, so every stage short-circuits its
+/// channel hop (fast-path replay).
 struct StreamBenchState {
     cfg: climate::ClimateConfig,
     plain_items: Vec<(usize, ClimateData)>,
@@ -337,14 +336,6 @@ fn bench_stream_warm(st: &StreamBenchState) -> Result<(), String> {
         st.warm_cache.clone(),
     );
     p.run_batch_streaming(st.cached_items.clone(), &st.exec)
-        .map_err(|e| format!("{e}"))?;
-    Ok(())
-}
-
-fn bench_stream_rayon(st: &StreamBenchState) -> Result<(), String> {
-    let p =
-        climate::build_batch_pipeline(&st.cfg, Arc::new(MemSink::new()), Arc::new(Ledger::new()));
-    p.run_batch(st.plain_items.clone())
         .map_err(|e| format!("{e}"))?;
     Ok(())
 }
@@ -905,8 +896,7 @@ fn run() -> Result<ExitCode, String> {
     let warm_state = cache_state;
     let stream_state = Arc::new(prepare_stream_bench(&sz)?);
     let stream_cold = stream_state.clone();
-    let stream_warm = stream_state.clone();
-    let stream_rayon = stream_state;
+    let stream_warm = stream_state;
 
     let benches: Vec<(&str, BenchFn)> = vec![
         ("fig1_pipeline", Box::new(bench_fig1)),
@@ -929,10 +919,6 @@ fn run() -> Result<ExitCode, String> {
         (
             "stream_climate_batch_warm",
             Box::new(move |_: &Registry, _: &Sizes| bench_stream_warm(&stream_warm)),
-        ),
-        (
-            "stream_climate_batch_rayon",
-            Box::new(move |_: &Registry, _: &Sizes| bench_stream_rayon(&stream_rayon)),
         ),
         (
             "sched_fairness",

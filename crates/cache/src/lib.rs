@@ -25,9 +25,9 @@
 //! retry/telemetry layers), tests use [`clock::LogicalClock`] so
 //! eviction order is deterministic.
 //!
-//! Pipelines opt in per stage through [`CachedPipelineExt`], which wraps
-//! a stage function exactly like `PipelineBuilder::retry_stage` wraps
-//! one for retries. Artifact types describe their exact byte form via
+//! Pipelines opt in per stage through [`CachedPipelineExt`], which
+//! decorates a stage function with a cache probe (the stage's fast
+//! path) and a store-after-compute. Artifact types describe their exact byte form via
 //! [`CacheBytes`] (helpers in [`bytes`]).
 //!
 //! Telemetry: `cache.hits`, `cache.misses`, `cache.evictions`,
@@ -96,6 +96,39 @@ impl CacheBytes for Vec<f64> {
         r.expect_end()?;
         Ok(v)
     }
+}
+
+/// A batch member is cached as its member index followed by the inner
+/// artifact's length-prefixed canonical bytes, so each member keys its
+/// own cache entries (identical artifacts under different member
+/// indices never collide). Member-tagged newtypes outside this crate
+/// share the encoding via [`member_cache_bytes`] and
+/// [`member_from_cache_bytes`].
+impl<T: CacheBytes> CacheBytes for (usize, T) {
+    fn to_cache_bytes(&self) -> Vec<u8> {
+        member_cache_bytes(self.0, &self.1)
+    }
+    fn from_cache_bytes(data: &[u8]) -> Result<Self, String> {
+        member_from_cache_bytes(data)
+    }
+}
+
+/// The member-tagged encoding of `(member, inner)`.
+pub fn member_cache_bytes<T: CacheBytes>(member: usize, inner: &T) -> Vec<u8> {
+    let inner = inner.to_cache_bytes();
+    let mut w = ByteWriter::with_capacity(inner.len() + 16);
+    w.put_u64(member as u64);
+    w.put_bytes(&inner);
+    w.finish()
+}
+
+/// Decode bytes produced by [`member_cache_bytes`].
+pub fn member_from_cache_bytes<T: CacheBytes>(data: &[u8]) -> Result<(usize, T), String> {
+    let mut r = ByteReader::new(data);
+    let member = r.u64()? as usize;
+    let inner = r.bytes()?;
+    r.expect_end()?;
+    Ok((member, T::from_cache_bytes(inner)?))
 }
 
 /// Deterministic fingerprint of a stage's configuration, built from
@@ -476,8 +509,8 @@ impl StageCache {
     }
 }
 
-/// Builder extension wiring a [`StageCache`] into pipeline stages —
-/// the cache-layer counterpart of `PipelineBuilder::retry_stage`.
+/// Builder extension wiring a [`StageCache`] into pipeline stages: a
+/// decorator over an ordinary stage function.
 pub trait CachedPipelineExt<T> {
     /// Add a stage whose output is memoized in `cache`. On a verified
     /// hit the stage function never runs; its record/byte counters are
@@ -539,7 +572,7 @@ impl<T: CacheBytes + Send + Sync + 'static> CachedPipelineExt<T> for PipelineBui
         // probes it on the sending side of a channel so a hit skips the
         // stage's channel hop entirely. Exactly one probe happens per
         // stage execution either way, so hit/miss counters are
-        // identical across `run`, `run_batch` and streaming.
+        // identical across sequential `run` and streaming batches.
         let probe_name = name.to_string();
         let probe_cache = cache.clone();
         let probe_fp = config_fp.clone();

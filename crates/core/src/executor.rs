@@ -1,18 +1,16 @@
-//! Streaming, bounded-memory batch executor.
+//! Streaming, bounded-memory batch executor — the one batch engine.
 //!
-//! `Pipeline::run_batch` materializes every item and barriers on one
-//! rayon collect: stage work never overlaps *across* items and peak
-//! memory grows linearly with batch size. This module runs the same
-//! pipeline as a pipelined chain instead — one bounded channel per
-//! stage boundary, a small worker pool per stage — so item 7 can be
+//! A batch runs as a pipelined chain: one bounded channel per stage
+//! boundary and a small worker pool per stage, so item 7 can be
 //! sharding while item 9 is still regridding, and at most
 //! `O(channel_capacity × stages)` items are resident at once
 //! regardless of batch size (the paper's Figure 1 streaming
 //! raw→AI-ready flow, rather than a batch barrier).
 //!
-//! Semantics match `run_batch`:
+//! The batch contract, with per-item [`Pipeline::run`] as the
+//! sequential reference:
 //!
-//! * outputs preserve input order;
+//! * outputs equal each item's `run` output, in input order;
 //! * on failure the error of the *lowest input index* wins,
 //!   deterministically — after any failure, later-index items are
 //!   drained (received and dropped) so the chain never deadlocks,
@@ -20,10 +18,14 @@
 //!   with a smaller index;
 //! * a panic inside a stage is caught in the worker, the chain drains,
 //!   and the panic resumes on the calling thread;
+//! * per-stage metrics merge across items: records and bytes are
+//!   summed, and `elapsed` is the stage's batch wall-clock (earliest
+//!   item in to latest item out);
 //! * a failed batch publishes no merged per-stage metrics;
 //! * an empty batch returns one zeroed [`StageMetrics`] per stage.
 //!
-//! Stages with a fast path ([`PipelineBuilder::stage_with_fast_path`],
+//! Stages with a fast path
+//! ([`stage_with_fast_path`](crate::pipeline::PipelineBuilder::stage_with_fast_path),
 //! e.g. cache probes installed by `drai-cache`) are probed on the
 //! *sending* side: a hit short-circuits the stage's channel hop
 //! entirely, so a fully-warm item can travel from the feeder to the
@@ -38,9 +40,12 @@
 //! `executor.shortcircuits` (fast-path hits that skipped a hop),
 //! `executor.items_completed` (counter ticking live as items clear the
 //! whole chain — the progress signal the monitor sampler reads), and a
-//! `pipeline.<name>.run_streaming` span. Per-stage `.records`/`.bytes`
-//! counters and `.ns`/`.item_ns` histograms follow the `run_batch`
-//! contract.
+//! `pipeline.<name>.run_streaming` span. A successful batch adds, per
+//! stage, summed `pipeline.<name>.<stage>.records`/`.bytes` counters,
+//! one `.ns` observation of the stage's batch wall-clock (never more
+//! than the batch wall time, whatever the parallelism) and one
+//! `.item_ns` observation per item. No per-item stage spans are
+//! emitted, so large batches don't flood the span log.
 //!
 //! [`executor_health_spec`] packages these metrics into the default
 //! `drai_telemetry::monitor` health rules for a streaming run.
@@ -151,13 +156,12 @@ impl CancelToken {
     }
 }
 
-/// Streaming counterpart of `Pipeline::run_batch`.
+/// Batch execution of a [`Pipeline`] (see the module docs for the
+/// contract).
 pub trait StreamingBatchExt<T> {
     /// Run `items` through the pipeline as a pipelined chain over
-    /// bounded channels. Same outputs, ordering, error selection and
-    /// metrics contract as `run_batch`; memory bounded by
-    /// `cfg.channel_capacity` per stage boundary instead of by the
-    /// batch size.
+    /// bounded channels, with memory bounded by `cfg.channel_capacity`
+    /// per stage boundary instead of by the batch size.
     fn run_batch_streaming(
         &self,
         items: Vec<T>,
@@ -548,7 +552,7 @@ impl<T: Send> StreamingBatchExt<T> for Pipeline<T> {
                 bytes,
                 elapsed: Duration::from_nanos(wall_ns),
             };
-            let base = format!("pipeline.{}.{}", self.name, m.name);
+            let base = self.stage_metric(&m.name);
             registry.counter(&format!("{base}.records")).add(records);
             registry.counter(&format!("{base}.bytes")).add(bytes);
             registry.histogram(&format!("{base}.ns")).record(wall_ns);
@@ -592,28 +596,109 @@ mod tests {
         (out, reg.snapshot())
     }
 
+    /// The sequential reference: every item through [`Pipeline::run`]
+    /// in input order, with per-stage `(records, bytes)` summed.
+    fn sequential<T>(p: &Pipeline<T>, items: Vec<T>) -> (Vec<T>, Vec<(u64, u64)>) {
+        let mut outputs = Vec::with_capacity(items.len());
+        let mut totals = vec![(0, 0); p.stages.len()];
+        for item in items {
+            let run = p.run(item).unwrap();
+            for (t, s) in totals.iter_mut().zip(&run.stages) {
+                t.0 += s.throughput.records;
+                t.1 += s.throughput.bytes;
+            }
+            outputs.push(run.output);
+        }
+        (outputs, totals)
+    }
+
     #[test]
-    fn streaming_matches_run_batch_outputs_and_counts() {
+    fn streaming_matches_sequential_runs_outputs_and_counts() {
         let p = chain3();
         let items: Vec<u64> = (0..100).collect();
-        let (plain, plain_m) = p.run_batch(items.clone()).unwrap();
+        let (plain, plain_totals) = sequential(&p, items.clone());
         let ((streamed, stream_m), snap) = in_registry(|| {
             p.run_batch_streaming(items, &ExecutorConfig::default())
                 .unwrap()
         });
         assert_eq!(streamed, plain);
-        for (a, b) in plain_m.iter().zip(&stream_m) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.throughput.records, b.throughput.records);
-            assert_eq!(a.throughput.bytes, b.throughput.bytes);
+        assert_eq!(stream_m.len(), plain_totals.len());
+        for (m, &(records, bytes)) in stream_m.iter().zip(&plain_totals) {
+            assert_eq!(m.throughput.records, records, "{}", m.name);
+            assert_eq!(m.throughput.bytes, bytes, "{}", m.name);
         }
         assert_eq!(snap.counters["pipeline.exec.b.records"], 100);
         assert_eq!(snap.counters["pipeline.exec.b.bytes"], 800);
         assert_eq!(snap.histograms["pipeline.exec.b.ns"].count, 1);
         assert_eq!(snap.histograms["pipeline.exec.b.item_ns"].count, 100);
-        assert_eq!(snap.spans_named("pipeline.exec.run_streaming").len(), 1);
+        let span = snap.spans_named("pipeline.exec.run_streaming");
+        assert_eq!(span.len(), 1);
+        assert_eq!(span[0].items, 100);
+        // Per-item stage spans are suppressed; merged counters remain.
+        assert!(snap.spans_named("pipeline.exec.b").is_empty());
         // The live progress counter ticked once per item.
         assert_eq!(snap.counters["executor.items_completed"], 100);
+    }
+
+    #[test]
+    fn single_item_batch_matches_a_sequential_run() {
+        let p: Pipeline<Vec<f64>> = Pipeline::builder("exec-single")
+            .stage("double", S::Transform, |v: Vec<f64>, c| {
+                c.records = v.len() as u64;
+                c.bytes = (v.len() * 8) as u64;
+                Ok(v.into_iter().map(|x| x * 2.0).collect())
+            })
+            .build();
+        let ((outputs, metrics), snap) = in_registry(|| {
+            p.run_batch_streaming(vec![vec![1.0, 2.0, 3.0]], &ExecutorConfig::default())
+                .unwrap()
+        });
+        assert_eq!(outputs, vec![vec![2.0, 4.0, 6.0]]);
+        // A single-item batch merges to exactly that item's counters —
+        // nothing is double-counted by the merge seeding.
+        assert_eq!(metrics.len(), 1);
+        assert_eq!(metrics[0].name, "double");
+        assert_eq!(metrics[0].throughput.records, 3);
+        assert_eq!(metrics[0].throughput.bytes, 24);
+        assert_eq!(snap.counters["pipeline.exec-single.double.records"], 3);
+        assert_eq!(snap.histograms["pipeline.exec-single.double.ns"].count, 1);
+    }
+
+    #[test]
+    fn stage_latency_never_exceeds_batch_wall_clock() {
+        let p: Pipeline<u64> = Pipeline::builder("exec-wall")
+            .stage("spin", S::Transform, |x: u64, c| {
+                // Busy work so per-item elapsed is measurable: summed
+                // across parallel items it would exceed the batch wall.
+                let mut acc = x;
+                for i in 0..200_000u64 {
+                    acc = acc.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(i);
+                }
+                c.records = 1;
+                Ok(acc)
+            })
+            .build();
+        let cfg = ExecutorConfig {
+            channel_capacity: 4,
+            workers_per_stage: 4,
+        };
+        let wall = Stopwatch::start();
+        let ((), snap) = in_registry(|| {
+            p.run_batch_streaming((0..32).collect(), &cfg).unwrap();
+        });
+        let wall_ns = wall.elapsed_ns();
+        let ns = &snap.histograms["pipeline.exec-wall.spin.ns"];
+        assert_eq!(ns.count, 1);
+        // `.ns` records the stage's batch wall-clock, which can never
+        // exceed the wall time of the whole batch call.
+        assert!(
+            ns.max <= wall_ns,
+            "stage wall {} > batch wall {wall_ns}",
+            ns.max
+        );
+        // Per-item latency lands in `.item_ns`: one observation per item.
+        let item = &snap.histograms["pipeline.exec-wall.spin.item_ns"];
+        assert_eq!(item.count, 32);
     }
 
     #[test]
@@ -637,14 +722,27 @@ mod tests {
     #[test]
     fn empty_batch_returns_zeroed_metrics() {
         let p = chain3();
-        let (outputs, metrics) = p
-            .run_batch_streaming(Vec::new(), &ExecutorConfig::default())
-            .unwrap();
+        let ((outputs, metrics), snap) = in_registry(|| {
+            p.run_batch_streaming(Vec::new(), &ExecutorConfig::default())
+                .unwrap()
+        });
         assert!(outputs.is_empty());
-        assert_eq!(metrics.len(), 3);
+        // One zeroed entry per stage, in stage order, so downstream code
+        // zipping merged metrics against stage lists never sees unequal
+        // lengths.
+        let names: Vec<&str> = metrics.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(names, vec!["a", "b", "c"]);
         for m in &metrics {
             assert_eq!(m.throughput.records, 0);
+            assert_eq!(m.throughput.bytes, 0);
+            assert_eq!(m.throughput.elapsed, Duration::ZERO);
         }
+        // The batch span is still emitted (zero items) and no per-stage
+        // counters move.
+        let span = snap.spans_named("pipeline.exec.run_streaming");
+        assert_eq!(span.len(), 1);
+        assert_eq!(span[0].items, 0);
+        assert!(!snap.counters.contains_key("pipeline.exec.a.records"));
     }
 
     #[test]
@@ -699,6 +797,9 @@ mod tests {
                 other => panic!("{other:?}"),
             }
         }
+        assert!(p
+            .run_batch_streaming(vec![1, 2, 3], &ExecutorConfig::default())
+            .is_ok());
     }
 
     #[test]
@@ -718,13 +819,28 @@ mod tests {
             .build();
         let (result, snap) =
             in_registry(|| p.run_batch_streaming((0..16).collect(), &ExecutorConfig::default()));
-        assert!(result.is_err());
-        assert!(!snap
-            .counters
-            .contains_key("pipeline.exec-fail.pass.records"));
-        assert!(!snap
-            .histograms
-            .contains_key("pipeline.exec-fail.pass.item_ns"));
+        match result {
+            Err(CoreError::Stage { stage, message }) => {
+                assert_eq!(stage, "maybe");
+                assert_eq!(message, "nope");
+            }
+            other => panic!("{other:?}"),
+        }
+        // No merged per-stage counters or latency histograms — even for
+        // the stage that succeeded on other items — so dashboards never
+        // mix partial batches in.
+        for key in [
+            "pipeline.exec-fail.pass.records",
+            "pipeline.exec-fail.maybe.records",
+        ] {
+            assert!(!snap.counters.contains_key(key), "{key}");
+        }
+        for key in [
+            "pipeline.exec-fail.pass.ns",
+            "pipeline.exec-fail.pass.item_ns",
+        ] {
+            assert!(!snap.histograms.contains_key(key), "{key}");
+        }
         assert_eq!(
             snap.spans_named("pipeline.exec-fail.run_streaming").len(),
             1
@@ -811,16 +927,16 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_accounting_agrees_with_run_batch_under_degenerate_configs() {
+    fn fast_path_accounting_agrees_with_sequential_runs_under_degenerate_configs() {
         let items: Vec<u64> = (0..30).collect();
         let hits = items.iter().filter(|x| *x % 3 == 0).count() as u64;
 
-        // Baseline: run_batch probes the same fast paths (no channels,
-        // so no shortcircuit counter) — pin its slow-call count.
+        // Baseline: sequential runs probe the same fast paths (no
+        // channels, so no shortcircuit counter) — pin the slow-call
+        // count.
         let batch_slow = Arc::new(AtomicU64::new(0));
-        let (batch_out, batch_m) = memo_pipeline(batch_slow.clone())
-            .run_batch(items.clone())
-            .unwrap();
+        let (batch_out, batch_totals) =
+            sequential(&memo_pipeline(batch_slow.clone()), items.clone());
         assert_eq!(batch_slow.load(Ordering::SeqCst), 30 - hits);
 
         for cfg in [
@@ -845,7 +961,7 @@ mod tests {
             assert_eq!(outputs, batch_out, "outputs diverge under {cfg:?}");
             // Channel hops into the memo stage = slow-path executions;
             // together with shortcircuits they cover every item exactly
-            // once, and both agree with run_batch.
+            // once, and both agree with the sequential runs.
             assert_eq!(
                 slow.load(Ordering::SeqCst),
                 batch_slow.load(Ordering::SeqCst),
@@ -856,7 +972,7 @@ mod tests {
                 slow.load(Ordering::SeqCst) + snap.counters["executor.shortcircuits"],
                 30
             );
-            assert_eq!(metrics[1].throughput.records, batch_m[1].throughput.records);
+            assert_eq!(metrics[1].throughput.records, batch_totals[1].0);
         }
     }
 

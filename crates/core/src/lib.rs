@@ -16,9 +16,12 @@
 //!   declared — the operational teeth the paper calls for.
 //! * [`quality`] — data-quality reporting (missing fraction, imbalance,
 //!   outliers) feeding the assessor.
-//! * [`pipeline`] — a typed stage-graph execution engine with per-stage
-//!   metrics, rayon batch execution, and the iterative
+//! * [`pipeline`] — typed stage lists with per-stage metrics, the
+//!   sequential per-item runner, and the iterative
 //!   prepare→evaluate→refine loop of Figure 1.
+//! * [`executor`] — the one batch engine: a streaming, bounded-memory
+//!   stage chain whose outputs, error choice and merged metrics match
+//!   per-item sequential runs.
 //! * [`metrics`] — throughput/latency accounting shared with the bench
 //!   harness.
 

@@ -1,9 +1,9 @@
-//! Cached variants of the domain pipelines: the same stage bodies as
-//! [`crate::climate`] / [`crate::materials`], but the expensive middle
-//! stages run through [`drai_cache::StageCache`] so a re-run over
-//! unchanged inputs replays memoized results instead of recomputing
-//! (the "incremental reprocessing" need of §4 — pipelines are rerun
-//! every time normalization choices or grid targets change).
+//! Cached variants of the domain pipelines: the same stage lists as
+//! [`crate::climate`] / [`crate::materials`], with the expensive stages
+//! decorated by [`drai_cache::StageCache`] so a re-run over unchanged
+//! inputs replays memoized results instead of recomputing (the
+//! "incremental reprocessing" need of §4 — pipelines are rerun every
+//! time normalization choices or grid targets change).
 //!
 //! The [`drai_cache::CacheBytes`] impls here are the canonical binary
 //! encodings of the inter-stage artifacts. They are exact (f64/f32 bits
@@ -14,9 +14,12 @@
 use crate::climate::{self, ClimateConfig, ClimateData};
 use crate::materials::{self, GraphSample, MaterialsConfig, MaterialsData};
 use drai_cache::bytes::{ByteReader, ByteWriter};
-use drai_cache::{config_fingerprint, CacheBytes, CachedPipelineExt, StageCache};
-use drai_core::pipeline::Pipeline;
-use drai_core::readiness::ProcessingStage as S;
+use drai_cache::{
+    config_fingerprint, member_cache_bytes, member_from_cache_bytes, CacheBytes, CachedPipelineExt,
+    StageCache,
+};
+use drai_core::pipeline::{Pipeline, PipelineBuilder, StageCounters};
+use drai_core::readiness::ProcessingStage;
 use drai_formats::xyz::{Atom, Frame};
 use drai_io::sink::StorageSink;
 use drai_provenance::Ledger;
@@ -273,11 +276,45 @@ pub fn climate_shard_fingerprint(cfg: &ClimateConfig) -> Vec<u8> {
     ])
 }
 
+/// Builder decorator for the archetype stage lists: with a cache the
+/// stage runs through [`CachedPipelineExt::cached_stage_with_check`]
+/// (`check` vets each decoded hit), without one it is a plain stage.
+pub(crate) trait OptionallyCached<I> {
+    fn maybe_cached(
+        self,
+        cache: &Option<Arc<StageCache>>,
+        name: &str,
+        kind: ProcessingStage,
+        config_fp: Vec<u8>,
+        check: impl Fn(&I) -> bool + Send + Sync + 'static,
+        func: impl Fn(I, &mut StageCounters) -> Result<I, String> + Send + Sync + 'static,
+    ) -> Self;
+}
+
+impl<I: CacheBytes + Send + Sync + 'static> OptionallyCached<I> for PipelineBuilder<I> {
+    fn maybe_cached(
+        self,
+        cache: &Option<Arc<StageCache>>,
+        name: &str,
+        kind: ProcessingStage,
+        config_fp: Vec<u8>,
+        check: impl Fn(&I) -> bool + Send + Sync + 'static,
+        func: impl Fn(I, &mut StageCounters) -> Result<I, String> + Send + Sync + 'static,
+    ) -> Self {
+        match cache {
+            Some(cache) => {
+                self.cached_stage_with_check(name, kind, cache.clone(), config_fp, check, func)
+            }
+            None => self.stage(name, kind, func),
+        }
+    }
+}
+
 /// Build the climate pipeline with the regrid, normalize and shard
 /// stages running through `cache`.
 ///
-/// The shard stage's hit path additionally verifies that the shard
-/// blobs it originally wrote still exist in `sink` — a cache entry
+/// The shard stage's hit path additionally verifies that every split's
+/// shard blobs still exist under `climate/` in `sink` — a cache entry
 /// whose external artifacts were deleted is rejected and recomputed,
 /// not trusted.
 pub fn build_cached_climate_pipeline(
@@ -286,162 +323,38 @@ pub fn build_cached_climate_pipeline(
     ledger: Arc<Ledger>,
     cache: Arc<StageCache>,
 ) -> Pipeline<ClimateData> {
-    let cfg_regrid = cfg.clone();
-    let cfg_shard = cfg.clone();
-    let ledger_regrid = ledger.clone();
-    let ledger_norm = ledger.clone();
-    let ledger_shard = ledger;
-    let sink_check = sink.clone();
-    let sink_shard = sink;
-
-    Pipeline::builder("climate")
-        .stage("validate", S::Ingest, climate::validate_stage)
-        .cached_stage(
-            "regrid",
-            S::Preprocess,
-            cache.clone(),
-            climate_regrid_fingerprint(cfg),
-            move |data: ClimateData, c| climate::regrid_stage(&cfg_regrid, &ledger_regrid, data, c),
-        )
-        .cached_stage(
-            "normalize",
-            S::Transform,
-            cache.clone(),
-            climate_normalize_fingerprint(cfg),
-            move |data: ClimateData, c| climate::normalize_stage(&ledger_norm, data, c),
-        )
-        .cached_stage_with_check(
-            "shard",
-            S::Shard,
-            cache,
-            climate_shard_fingerprint(cfg),
-            move |_data: &ClimateData| {
-                sink_check
-                    .list()
-                    .map(|names| {
-                        names
-                            .iter()
-                            .any(|n| n.starts_with("climate/") && n.ends_with(".shard"))
-                    })
-                    .unwrap_or(false)
-            },
-            move |data: ClimateData, c| {
-                climate::shard_stage(
-                    &cfg_shard,
-                    sink_shard.as_ref(),
-                    &ledger_shard,
-                    "climate",
-                    data,
-                    c,
-                )
-            },
-        )
-        .build()
+    climate::stage_list("climate", cfg, sink, ledger, Some(cache))
 }
 
 /// A batch member flowing through a cached batch pipeline: the member
-/// id plus the inter-stage artifact. (A newtype rather than a tuple —
-/// tuples are foreign types, so `CacheBytes` cannot be implemented for
-/// them here.)
+/// id plus the inter-stage artifact.
 #[derive(Clone)]
 pub struct Member<T>(pub usize, pub T);
 
-/// A batch member is cached as its member id followed by the inner
-/// artifact's canonical bytes, so each member keys its own cache
-/// entries (identical fields under different member ids never collide).
+/// Cached with the same member-tagged encoding as `(usize, T)`, so each
+/// member keys its own cache entries.
 impl<T: CacheBytes> CacheBytes for Member<T> {
     fn to_cache_bytes(&self) -> Vec<u8> {
-        let inner = self.1.to_cache_bytes();
-        let mut w = ByteWriter::with_capacity(inner.len() + 16);
-        w.put_u64(self.0 as u64);
-        w.put_bytes(&inner);
-        w.finish()
+        member_cache_bytes(self.0, &self.1)
     }
 
     fn from_cache_bytes(data: &[u8]) -> Result<Member<T>, String> {
-        let mut r = ByteReader::new(data);
-        let member = r.u64()? as usize;
-        let inner = r.bytes()?.to_vec();
-        r.expect_end()?;
-        Ok(Member(member, T::from_cache_bytes(&inner)?))
+        member_from_cache_bytes(data).map(|(m, inner)| Member(m, inner))
     }
 }
 
-/// Build the climate batch pipeline (`(member, data)` items, per-member
-/// shard prefixes) with the regrid, normalize and shard stages running
-/// through `cache`. Under the streaming executor a warm cache turns
-/// each cached stage's probe into a fast-path hit that skips the
-/// stage's channel hop entirely.
+/// Build the climate batch pipeline (member-tagged items, per-member
+/// shard prefixes `climate/m<member>/`) with the regrid, normalize and
+/// shard stages running through `cache`. Under the streaming executor
+/// a warm cache turns each cached stage's probe into a fast-path hit
+/// that skips the stage's channel hop entirely.
 pub fn build_cached_climate_batch_pipeline(
     cfg: &ClimateConfig,
     sink: Arc<dyn StorageSink>,
     ledger: Arc<Ledger>,
     cache: Arc<StageCache>,
 ) -> Pipeline<Member<ClimateData>> {
-    let cfg_regrid = cfg.clone();
-    let cfg_shard = cfg.clone();
-    let ledger_regrid = ledger.clone();
-    let ledger_norm = ledger.clone();
-    let ledger_shard = ledger;
-    let sink_check = sink.clone();
-    let sink_shard = sink;
-
-    Pipeline::builder("climate-batch")
-        .stage(
-            "validate",
-            S::Ingest,
-            |Member(m, data): Member<ClimateData>, c| {
-                climate::validate_stage(data, c).map(|data| Member(m, data))
-            },
-        )
-        .cached_stage(
-            "regrid",
-            S::Preprocess,
-            cache.clone(),
-            climate_regrid_fingerprint(cfg),
-            move |Member(m, data), c| {
-                climate::regrid_stage(&cfg_regrid, &ledger_regrid, data, c)
-                    .map(|data| Member(m, data))
-            },
-        )
-        .cached_stage(
-            "normalize",
-            S::Transform,
-            cache.clone(),
-            climate_normalize_fingerprint(cfg),
-            move |Member(m, data), c| {
-                climate::normalize_stage(&ledger_norm, data, c).map(|data| Member(m, data))
-            },
-        )
-        .cached_stage_with_check(
-            "shard",
-            S::Shard,
-            cache,
-            climate_shard_fingerprint(cfg),
-            move |Member(m, _data): &Member<ClimateData>| {
-                let prefix = format!("climate/m{m}/");
-                sink_check
-                    .list()
-                    .map(|names| {
-                        names
-                            .iter()
-                            .any(|n| n.starts_with(&prefix) && n.ends_with(".shard"))
-                    })
-                    .unwrap_or(false)
-            },
-            move |Member(m, data), c| {
-                climate::shard_stage(
-                    &cfg_shard,
-                    sink_shard.as_ref(),
-                    &ledger_shard,
-                    &format!("climate/m{m}"),
-                    data,
-                    c,
-                )
-                .map(|data| Member(m, data))
-            },
-        )
-        .build()
+    climate::stage_list("climate-batch", cfg, sink, ledger, Some(cache))
 }
 
 /// Fingerprint of the materials normalize stage configuration.
@@ -463,38 +376,7 @@ pub fn build_cached_materials_pipeline(
     ledger: Arc<Ledger>,
     cache: Arc<StageCache>,
 ) -> Pipeline<MaterialsData> {
-    let cfg_encode = cfg.clone();
-    let cfg_shard = cfg.clone();
-    let ledger_shard = ledger.clone();
-    let ledger_norm = ledger;
-
-    Pipeline::builder("materials")
-        .stage("parse", S::Ingest, materials::parse_stage)
-        .cached_stage(
-            "normalize",
-            S::Transform,
-            cache.clone(),
-            materials_normalize_fingerprint(cfg),
-            move |data: MaterialsData, c| materials::normalize_stage(&ledger_norm, data, c),
-        )
-        .cached_stage(
-            "encode",
-            S::Structure,
-            cache,
-            materials_encode_fingerprint(cfg),
-            move |data: MaterialsData, c| materials::encode_stage(&cfg_encode, data, c),
-        )
-        .stage("shard", S::Shard, move |data: MaterialsData, c| {
-            materials::shard_stage(
-                &cfg_shard,
-                sink.as_ref(),
-                &ledger_shard,
-                "materials",
-                data,
-                c,
-            )
-        })
-        .build()
+    materials::stage_list("materials", cfg, sink, ledger, Some(cache))
 }
 
 #[cfg(test)]
@@ -754,6 +636,179 @@ mod tests {
         // Tagging changes the encoding, so identical fields under a
         // different member id key different cache entries.
         assert_ne!(Member(8, climate_input(&cfg)).to_cache_bytes(), bytes);
+        // One member-tag encoding, pinned byte for byte: the u64 member
+        // id, then the length-prefixed inner bytes. `Member` and the
+        // tuple form share it, so existing cache keys stay valid.
+        let inner = data.1.to_cache_bytes();
+        let mut expected = 7u64.to_le_bytes().to_vec();
+        expected.extend((inner.len() as u64).to_le_bytes());
+        expected.extend(&inner);
+        assert_eq!(bytes, expected);
+        assert_eq!((7usize, data.1.clone()).to_cache_bytes(), expected);
+        let (m, back) = <(usize, ClimateData)>::from_cache_bytes(&expected).expect("decode");
+        assert_eq!((m, back.fields), (7, data.1.fields));
+    }
+
+    /// Blobs in `sink` directly under `prefix/` whose names end in one of
+    /// `exts`, keyed by their name relative to the prefix.
+    fn blobs_under(
+        sink: &dyn StorageSink,
+        prefix: &str,
+        exts: &[&str],
+    ) -> BTreeMap<String, Vec<u8>> {
+        sink.list()
+            .expect("list")
+            .into_iter()
+            .filter_map(|name| {
+                let rel = name.strip_prefix(&format!("{prefix}/"))?.to_string();
+                let wanted = !rel.contains('/') && exts.iter().any(|e| rel.ends_with(e));
+                wanted.then(|| (rel, sink.read_file(&name).expect("read")))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_climate_builder_streaming_or_not_writes_identical_shards() {
+        use drai_core::executor::{ExecutorConfig, StreamingBatchExt};
+        let cfg = climate_cfg();
+        let data = climate::member_input(&cfg, 2);
+        let exec = ExecutorConfig::default();
+        let fresh = || -> Arc<dyn StorageSink> { Arc::new(MemSink::new()) };
+
+        let sink = fresh();
+        climate::build_pipeline(&cfg, sink.clone(), Arc::new(Ledger::new()))
+            .run(data.clone())
+            .expect("plain run");
+        let expected = blobs_under(sink.as_ref(), "climate", &[".shard"]);
+        assert!(!expected.is_empty());
+
+        let sink = fresh();
+        climate::build_batch_pipeline(&cfg, sink.clone(), Arc::new(Ledger::new()))
+            .run_batch_streaming(vec![(2, data.clone())], &exec)
+            .expect("batch run");
+        assert_eq!(
+            blobs_under(sink.as_ref(), "climate/m2", &[".shard"]),
+            expected
+        );
+
+        // Cached batch, cold then warm, each into a fresh output sink:
+        // the warm pass replays regrid + normalize from the cache and
+        // must still shard the same bytes.
+        let cache = test_cache(&Arc::new(MemSink::new()));
+        for (pass, hits) in [("cold", 0), ("warm", 3)] {
+            let sink = fresh();
+            let ((), snap) = run_in_registry(&Registry::new(), || {
+                build_cached_climate_batch_pipeline(
+                    &cfg,
+                    sink.clone(),
+                    Arc::new(Ledger::new()),
+                    cache.clone(),
+                )
+                .run_batch_streaming(vec![Member(2, data.clone())], &exec)
+                .expect("cached batch run");
+            });
+            assert_eq!(snap.counters.get("cache.hits").copied().unwrap_or(0), hits);
+            assert_eq!(
+                blobs_under(sink.as_ref(), "climate/m2", &[".shard"]),
+                expected,
+                "{pass} pass"
+            );
+        }
+    }
+
+    #[test]
+    fn every_materials_builder_streaming_or_not_writes_identical_shards() {
+        use drai_core::executor::{ExecutorConfig, StreamingBatchExt};
+        let cfg = materials_cfg();
+        let exts = [".bp", ".jsonl"];
+        let fresh = || -> Arc<dyn StorageSink> { Arc::new(MemSink::new()) };
+
+        let sink = fresh();
+        materials::build_pipeline(&cfg, sink.clone(), Arc::new(Ledger::new()))
+            .run(materials_input(&cfg))
+            .expect("plain run");
+        let expected = blobs_under(sink.as_ref(), "materials", &exts);
+        assert!(!expected.is_empty());
+
+        let sink = fresh();
+        materials::build_batch_pipeline(&cfg, sink.clone(), Arc::new(Ledger::new()))
+            .run_batch_streaming(vec![(2, materials_input(&cfg))], &ExecutorConfig::default())
+            .expect("batch run");
+        assert_eq!(blobs_under(sink.as_ref(), "materials/m2", &exts), expected);
+
+        let cache = test_cache(&Arc::new(MemSink::new()));
+        for pass in ["cold", "warm"] {
+            let sink = fresh();
+            build_cached_materials_pipeline(
+                &cfg,
+                sink.clone(),
+                Arc::new(Ledger::new()),
+                cache.clone(),
+            )
+            .run(materials_input(&cfg))
+            .expect("cached run");
+            assert_eq!(
+                blobs_under(sink.as_ref(), "materials", &exts),
+                expected,
+                "{pass} pass"
+            );
+        }
+    }
+
+    #[test]
+    fn cached_climate_shard_hit_needs_every_split_under_its_own_prefix() {
+        let cfg = ClimateConfig {
+            timesteps: 24,
+            ..climate_cfg()
+        };
+        let input = climate_input(&cfg);
+        let cache = test_cache(&Arc::new(MemSink::new()));
+        let run = |sink: &Arc<dyn StorageSink>| {
+            build_cached_climate_pipeline(
+                &cfg,
+                sink.clone(),
+                Arc::new(Ledger::new()),
+                cache.clone(),
+            )
+            .run(input.clone())
+            .expect("cached run");
+        };
+        let shards = |sink: &Arc<dyn StorageSink>, split: &str| -> Vec<String> {
+            let stem = format!("climate/{split}-");
+            let names = sink.list().expect("list");
+            names
+                .into_iter()
+                .filter(|n| n.starts_with(&stem) && n.ends_with(".shard"))
+                .collect()
+        };
+        // The cold pass fills the cache and shards into `first`.
+        let first: Arc<dyn StorageSink> = Arc::new(MemSink::new());
+        run(&first);
+        let splits: Vec<&str> = ["train", "validation", "test"]
+            .into_iter()
+            .filter(|split| !shards(&first, split).is_empty())
+            .collect();
+        assert!(splits.len() >= 2, "need two splits, got {splits:?}");
+
+        // A sibling member's shard is not this run's shard: the hit is
+        // rejected and every split is written under `climate/`.
+        let sibling: Arc<dyn StorageSink> = Arc::new(MemSink::new());
+        sibling
+            .write_file("climate/m0/train-00000.shard", b"sibling")
+            .expect("write");
+        run(&sibling);
+        for split in &splits {
+            assert!(!shards(&sibling, split).is_empty(), "{split} not written");
+        }
+
+        // With one split's shards deleted, the hit is rejected and the
+        // missing split is rewritten.
+        let gone = splits[splits.len() - 1];
+        for name in shards(&first, gone) {
+            first.delete(&name).expect("delete");
+        }
+        run(&first);
+        assert!(!shards(&first, gone).is_empty(), "{gone} not rewritten");
     }
 
     #[test]

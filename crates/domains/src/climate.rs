@@ -14,9 +14,10 @@
 //! 4. **shard** — split by timestep key, pack `[vars, lat, lon]` f32
 //!    tensors into NPY members of NPZ (STORE ZIP) shards.
 
-use crate::{DomainBatchRun, DomainError, DomainRun, MonitorOptions};
+use crate::cached::{self, OptionallyCached};
+use crate::{DomainError, DomainRun, Item};
+use drai_cache::StageCache;
 use drai_core::dataset::{DatasetManifest, Modality, VariableSpec};
-use drai_core::executor::{executor_health_spec, ExecutorConfig, StreamingBatchExt};
 use drai_core::pipeline::{Pipeline, StageCounters};
 use drai_core::readiness::ProcessingStage as S;
 use drai_formats::netcdf::{NcAttr, NcDim, NcFile, NcValues, NcVar};
@@ -26,7 +27,6 @@ use drai_io::parallel::prefetch_map;
 use drai_io::shard::{ShardSpec, ShardWriter};
 use drai_io::sink::StorageSink;
 use drai_provenance::{Artifact, Ledger};
-use drai_telemetry::monitor::MonitorReport;
 use drai_tensor::stats::Welford;
 use drai_tensor::{LatLonGrid, Tensor};
 use drai_transform::normalize::{Method, Normalizer};
@@ -35,8 +35,8 @@ use drai_transform::split::{assign, Fractions, Split};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Variables in the synthetic CMIP-like set (ORBIT/ClimaX-style subset).
 pub const VARIABLES: [(&str, &str, bool); 4] = [
@@ -270,11 +270,8 @@ pub struct ClimateData {
 }
 
 /// Stage body: schema/shape validation — every variable complete on the
-/// grid. Shared by the plain and cached (`crate::cached`) builders.
-pub(crate) fn validate_stage(
-    data: ClimateData,
-    c: &mut StageCounters,
-) -> Result<ClimateData, String> {
+/// grid.
+fn validate_stage(data: ClimateData, c: &mut StageCounters) -> Result<ClimateData, String> {
     let expect = data.timesteps * data.grid.ncells();
     for (vi, f) in data.fields.iter().enumerate() {
         if f.len() != expect {
@@ -290,7 +287,7 @@ pub(crate) fn validate_stage(
 }
 
 /// Stage body: bilinear/conservative remap onto the target grid.
-pub(crate) fn regrid_stage(
+fn regrid_stage(
     cfg: &ClimateConfig,
     ledger: &Ledger,
     mut data: ClimateData,
@@ -336,7 +333,7 @@ pub(crate) fn regrid_stage(
 }
 
 /// Stage body: per-variable z-score via parallel Welford reduction.
-pub(crate) fn normalize_stage(
+fn normalize_stage(
     ledger: &Ledger,
     mut data: ClimateData,
     c: &mut StageCounters,
@@ -383,7 +380,7 @@ pub(crate) fn normalize_stage(
 /// Stage body: split by timestep key and pack NPZ shards — one NPZ
 /// record per timestep with `{var}.npy` members of `[lat,lon]` f32 (the
 /// ClimaX layout).
-pub(crate) fn shard_stage(
+fn shard_stage(
     cfg: &ClimateConfig,
     sink: &dyn StorageSink,
     ledger: &Ledger,
@@ -461,44 +458,102 @@ pub(crate) fn shard_stage(
     Ok(data)
 }
 
+/// Whether every split that `timesteps` map to has a shard under
+/// `{prefix}/{split}-` in `sink` — the external check a cached shard
+/// hit must pass before it is trusted.
+fn shards_present(
+    cfg: &ClimateConfig,
+    sink: &dyn StorageSink,
+    prefix: &str,
+    timesteps: usize,
+) -> bool {
+    let splits: Result<BTreeSet<&str>, _> = (0..timesteps)
+        .map(|t| assign(&format!("t{t:06}"), cfg.seed, cfg.fractions).map(Split::name))
+        .collect();
+    let (Ok(splits), Ok(names)) = (splits, sink.list()) else {
+        return false;
+    };
+    splits.iter().all(|split| {
+        let stem = format!("{prefix}/{split}-");
+        names
+            .iter()
+            .any(|n| n.starts_with(&stem) && n.ends_with(".shard"))
+    })
+}
+
+/// The climate stage list, defined once: every climate builder is this
+/// list over one item shape ([`Item`]), named `name`. With `cache`, the
+/// regrid, normalize and shard stages run through it; a shard hit must
+/// also pass [`shards_present`] for the item's own prefix.
+pub(crate) fn stage_list<I: Item<ClimateData>>(
+    name: &str,
+    cfg: &ClimateConfig,
+    sink: Arc<dyn StorageSink>,
+    ledger: Arc<Ledger>,
+    cache: Option<Arc<StageCache>>,
+) -> Pipeline<I> {
+    let (cfg_regrid, cfg_check, cfg_shard) = (cfg.clone(), cfg.clone(), cfg.clone());
+    let (ledger_regrid, ledger_norm) = (ledger.clone(), ledger.clone());
+    let sink_check = sink.clone();
+    Pipeline::builder(name)
+        .stage("validate", S::Ingest, |item: I, c| {
+            item.try_map(|data| validate_stage(data, c))
+        })
+        .maybe_cached(
+            &cache,
+            "regrid",
+            S::Preprocess,
+            cached::climate_regrid_fingerprint(cfg),
+            |_| true,
+            move |item: I, c| {
+                item.try_map(|data| regrid_stage(&cfg_regrid, &ledger_regrid, data, c))
+            },
+        )
+        .maybe_cached(
+            &cache,
+            "normalize",
+            S::Transform,
+            cached::climate_normalize_fingerprint(cfg),
+            |_| true,
+            move |item: I, c| item.try_map(|data| normalize_stage(&ledger_norm, data, c)),
+        )
+        .maybe_cached(
+            &cache,
+            "shard",
+            S::Shard,
+            cached::climate_shard_fingerprint(cfg),
+            move |item: &I| {
+                let prefix = item.prefix("climate");
+                shards_present(
+                    &cfg_check,
+                    sink_check.as_ref(),
+                    &prefix,
+                    item.data().timesteps,
+                )
+            },
+            move |item: I, c| {
+                let prefix = item.prefix("climate");
+                item.try_map(|data| {
+                    shard_stage(&cfg_shard, sink.as_ref(), &ledger, &prefix, data, c)
+                })
+            },
+        )
+        .build()
+}
+
 /// Build the four-stage climate pipeline (stateless; shares the sink and
-/// ledger through `Arc`s).
+/// ledger through `Arc`s), sharding under `climate/`.
 pub fn build_pipeline(
     cfg: &ClimateConfig,
     sink: Arc<dyn StorageSink>,
     ledger: Arc<Ledger>,
 ) -> Pipeline<ClimateData> {
-    let cfg_regrid = cfg.clone();
-    let cfg_shard = cfg.clone();
-    let ledger_regrid = ledger.clone();
-    let ledger_norm = ledger.clone();
-    let ledger_shard = ledger;
-    let sink_shard = sink;
-
-    Pipeline::builder("climate")
-        .stage("validate", S::Ingest, validate_stage)
-        .stage("regrid", S::Preprocess, move |data: ClimateData, c| {
-            regrid_stage(&cfg_regrid, &ledger_regrid, data, c)
-        })
-        .stage("normalize", S::Transform, move |data: ClimateData, c| {
-            normalize_stage(&ledger_norm, data, c)
-        })
-        .stage("shard", S::Shard, move |data: ClimateData, c| {
-            shard_stage(
-                &cfg_shard,
-                sink_shard.as_ref(),
-                &ledger_shard,
-                "climate",
-                data,
-                c,
-            )
-        })
-        .build()
+    stage_list("climate", cfg, sink, ledger, None)
 }
 
 /// One ensemble member's input fields, synthesized directly (no NetCDF
 /// round trip) with the member index folded into the seed — the raw
-/// material for [`run_streaming_batch`] and the streaming benches.
+/// material for [`build_batch_pipeline`] and the streaming benches.
 pub fn member_input(cfg: &ClimateConfig, member: usize) -> ClimateData {
     let member_cfg = ClimateConfig {
         seed: cfg.seed.wrapping_add(member as u64),
@@ -517,7 +572,7 @@ pub fn member_input(cfg: &ClimateConfig, member: usize) -> ClimateData {
 }
 
 /// Build the climate pipeline over `(member, data)` items, for batch
-/// execution of a whole ensemble: the same stage bodies as
+/// execution of a whole ensemble: the same stage list as
 /// [`build_pipeline`], with each member's shards written under
 /// `climate/m<member>/` so members never collide.
 pub fn build_batch_pipeline(
@@ -525,140 +580,14 @@ pub fn build_batch_pipeline(
     sink: Arc<dyn StorageSink>,
     ledger: Arc<Ledger>,
 ) -> Pipeline<(usize, ClimateData)> {
-    batch_pipeline_with_lag(cfg, sink, ledger, None)
+    stage_list("climate-batch", cfg, sink, ledger, None)
 }
 
-/// [`build_batch_pipeline`] with `delay` of artificial busy-work
-/// injected into the named stage (`validate`, `regrid`, `normalize`,
-/// or `shard`) on every item — a fault hook for exercising the monitor
-/// diagnosis: the slowed stage must surface as the bottleneck.
-pub fn build_batch_pipeline_slowed(
-    cfg: &ClimateConfig,
-    sink: Arc<dyn StorageSink>,
-    ledger: Arc<Ledger>,
-    slow_stage: &str,
-    delay: Duration,
-) -> Pipeline<(usize, ClimateData)> {
-    batch_pipeline_with_lag(cfg, sink, ledger, Some((slow_stage.to_string(), delay)))
-}
-
-fn batch_pipeline_with_lag(
-    cfg: &ClimateConfig,
-    sink: Arc<dyn StorageSink>,
-    ledger: Arc<Ledger>,
-    lag: Option<(String, Duration)>,
-) -> Pipeline<(usize, ClimateData)> {
-    let cfg_regrid = cfg.clone();
-    let cfg_shard = cfg.clone();
-    let ledger_regrid = ledger.clone();
-    let ledger_norm = ledger.clone();
-    let ledger_shard = ledger;
-    let sink_shard = sink;
-    let stage_lag = |stage: &str| -> Option<Duration> {
-        lag.as_ref()
-            .filter(|(name, _)| name == stage)
-            .map(|(_, d)| *d)
-    };
-    let lag_validate = stage_lag("validate");
-    let lag_regrid = stage_lag("regrid");
-    let lag_normalize = stage_lag("normalize");
-    let lag_shard = stage_lag("shard");
-
-    Pipeline::builder("climate-batch")
-        .stage(
-            "validate",
-            S::Ingest,
-            move |(m, data): (usize, ClimateData), c| {
-                if let Some(d) = lag_validate {
-                    std::thread::sleep(d);
-                }
-                validate_stage(data, c).map(|data| (m, data))
-            },
-        )
-        .stage("regrid", S::Preprocess, move |(m, data), c| {
-            if let Some(d) = lag_regrid {
-                std::thread::sleep(d);
-            }
-            regrid_stage(&cfg_regrid, &ledger_regrid, data, c).map(|data| (m, data))
-        })
-        .stage("normalize", S::Transform, move |(m, data), c| {
-            if let Some(d) = lag_normalize {
-                std::thread::sleep(d);
-            }
-            normalize_stage(&ledger_norm, data, c).map(|data| (m, data))
-        })
-        .stage("shard", S::Shard, move |(m, data), c| {
-            if let Some(d) = lag_shard {
-                std::thread::sleep(d);
-            }
-            shard_stage(
-                &cfg_shard,
-                sink_shard.as_ref(),
-                &ledger_shard,
-                &format!("climate/m{m}"),
-                data,
-                c,
-            )
-            .map(|data| (m, data))
-        })
-        .build()
-}
-
-/// Run a whole climate ensemble through the streaming bounded-memory
-/// executor: `members` synthetic members (seeds `seed..seed+members`)
-/// flow through the pipelined stage chain concurrently, each sharding
-/// under its own `climate/m<member>/` prefix.
-pub fn run_streaming_batch(
-    cfg: &ClimateConfig,
-    sink: Arc<dyn StorageSink>,
-    members: usize,
-    exec: &ExecutorConfig,
-) -> Result<DomainBatchRun, DomainError> {
-    let registry = drai_telemetry::Registry::current();
-    let run_span = registry.span("domain.climate.run_batch");
-    let _in_run = run_span.enter();
-    let ledger = Arc::new(Ledger::new());
-    let pipeline = build_batch_pipeline(cfg, sink.clone(), ledger.clone());
-    let items: Vec<(usize, ClimateData)> =
-        (0..members).map(|m| (m, member_input(cfg, m))).collect();
-    let (_outputs, stages) = pipeline.run_batch_streaming(items, exec)?;
-    let shard_files = sink
-        .list()?
-        .into_iter()
-        .filter(|n| n.starts_with("climate/") && n.ends_with(".shard"))
-        .collect();
-    run_span.add_items(members as u64);
-    Ok(DomainBatchRun {
-        members,
-        stages,
-        ledger,
-        shard_files,
-    })
-}
-
-/// [`run_streaming_batch`] under a live monitor: a background sampler
-/// records executor time series at `mon.interval`, evaluates the
-/// default [`executor_health_spec`] rules, optionally prints live
-/// progress lines, and returns the [`MonitorReport`] (series, health
-/// events, backpressure diagnosis) next to the batch result.
-pub fn run_streaming_batch_monitored(
-    cfg: &ClimateConfig,
-    sink: Arc<dyn StorageSink>,
-    members: usize,
-    exec: &ExecutorConfig,
-    mon: &MonitorOptions,
-) -> Result<(DomainBatchRun, MonitorReport), DomainError> {
-    let spec = executor_health_spec(exec, 4);
-    crate::monitored_run("climate-batch", members as u64, mon, spec, || {
-        run_streaming_batch(cfg, sink, members, exec)
-    })
-}
-
-/// Run the complete climate archetype: generate raw NetCDF, execute the
-/// pipeline, and return the graded manifest.
 /// One prefetched raw variable: (blob name, raw bytes, decoded field).
 type ParsedVar = Result<(String, Vec<u8>, Vec<f64>), DomainError>;
 
+/// Run the complete climate archetype: generate raw NetCDF, execute the
+/// pipeline, and return the graded manifest.
 pub fn run(cfg: &ClimateConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun, DomainError> {
     let registry = drai_telemetry::Registry::current();
     let run_span = registry.span("domain.climate.run");
@@ -767,6 +696,7 @@ pub fn run(cfg: &ClimateConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drai_core::executor::{ExecutorConfig, StreamingBatchExt};
     use drai_core::{ReadinessAssessor, ReadinessLevel};
     use drai_formats::npy::read_npy;
     use drai_formats::zip::read_zip;
@@ -936,45 +866,52 @@ mod tests {
         }
     }
 
+    fn member_items(cfg: &ClimateConfig, n: usize) -> Vec<(usize, ClimateData)> {
+        (0..n).map(|m| (m, member_input(cfg, m))).collect()
+    }
+
     #[test]
     fn streaming_batch_shards_each_member_under_its_own_prefix() {
         let cfg = small_cfg();
         let sink: Arc<dyn StorageSink> = Arc::new(MemSink::new());
-        let run = run_streaming_batch(&cfg, sink, 3, &ExecutorConfig::default()).unwrap();
-        assert_eq!(run.members, 3);
-        assert_eq!(run.stages.len(), 4, "validate/regrid/normalize/shard");
+        let ledger = Arc::new(Ledger::new());
+        let p = build_batch_pipeline(&cfg, sink.clone(), ledger.clone());
+        let (outputs, stages) = p
+            .run_batch_streaming(member_items(&cfg, 3), &ExecutorConfig::default())
+            .unwrap();
+        assert_eq!(outputs.len(), 3);
+        assert_eq!(stages.len(), 4, "validate/regrid/normalize/shard");
+        let names = sink.list().unwrap();
         for m in 0..3 {
             let prefix = format!("climate/m{m}/");
             assert!(
-                run.shard_files.iter().any(|n| n.starts_with(&prefix)),
-                "no shards under {prefix}: {:?}",
-                run.shard_files
+                names
+                    .iter()
+                    .any(|n| n.starts_with(&prefix) && n.ends_with(".shard")),
+                "no shards under {prefix}: {names:?}"
             );
         }
         // Each member ran regrid + normalize + shard through the shared
         // ledger.
-        assert!(run.ledger.len() >= 3 * 3, "ledger has {}", run.ledger.len());
+        assert!(ledger.len() >= 3 * 3, "ledger has {}", ledger.len());
         // Member seeds differ, so member inputs differ.
         assert_ne!(member_input(&cfg, 0).fields, member_input(&cfg, 1).fields);
     }
 
     #[test]
-    fn streaming_batch_outputs_match_rayon_batch() {
+    fn streaming_batch_outputs_match_sequential_runs() {
         let cfg = small_cfg();
-        let items = |n: usize| -> Vec<(usize, ClimateData)> {
-            (0..n).map(|m| (m, member_input(&cfg, m))).collect()
-        };
         let s1: Arc<dyn StorageSink> = Arc::new(MemSink::new());
         let p1 = build_batch_pipeline(&cfg, s1, Arc::new(Ledger::new()));
         let (streamed, _) = p1
-            .run_batch_streaming(items(3), &ExecutorConfig::default())
+            .run_batch_streaming(member_items(&cfg, 3), &ExecutorConfig::default())
             .unwrap();
         let s2: Arc<dyn StorageSink> = Arc::new(MemSink::new());
         let p2 = build_batch_pipeline(&cfg, s2, Arc::new(Ledger::new()));
-        let (batched, _) = p2.run_batch(items(3)).unwrap();
-        assert_eq!(streamed.len(), batched.len());
-        for ((ma, a), (mb, b)) in streamed.iter().zip(&batched) {
-            assert_eq!(ma, mb, "member order preserved");
+        assert_eq!(streamed.len(), 3);
+        for ((ma, a), item) in streamed.iter().zip(member_items(&cfg, 3)) {
+            let (mb, b) = p2.run(item).unwrap().output;
+            assert_eq!(*ma, mb, "member order preserved");
             assert_eq!(a.fields, b.fields, "member {ma} fields differ");
         }
     }

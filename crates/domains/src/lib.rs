@@ -27,77 +27,62 @@ pub mod fusion;
 pub mod materials;
 pub mod service;
 
+use drai_cache::CacheBytes;
 use drai_core::pipeline::StageMetrics;
 use drai_core::DatasetManifest;
 use drai_provenance::Ledger;
-use drai_telemetry::monitor::{
-    HealthSpec, MonitorReport, ProgressTarget, Sampler, SamplerConfig, WallMonitorClock,
-};
-use drai_telemetry::Registry;
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Live-monitoring knobs for the `run_streaming_batch_monitored`
-/// entry points ([`climate::run_streaming_batch_monitored`],
-/// [`materials::run_streaming_batch_monitored`]).
-#[derive(Debug, Clone)]
-pub struct MonitorOptions {
-    /// Background sampling interval.
-    pub interval: Duration,
-    /// Ring-buffer capacity per metric series.
-    pub capacity: usize,
-    /// Emit live progress lines (`items/s`, ETA) to stderr.
-    pub progress: bool,
+/// The item shapes an archetype's one stage list runs over: a bare
+/// artifact `D` (a single run) or a member-tagged one, `(usize, D)` or
+/// [`cached::Member<D>`] (a batch member). The shape decides only where
+/// the item's outputs go; every stage body sees the bare `D`.
+pub(crate) trait Item<D>: CacheBytes + Send + Sync + 'static {
+    /// Output prefix under `base`: `base` itself for a bare artifact,
+    /// `base/m<k>` for member `k`.
+    fn prefix(&self, base: &str) -> String;
+    /// The artifact.
+    fn data(&self) -> &D;
+    /// Apply a stage body to the artifact, keeping any member tag.
+    fn try_map(self, f: impl FnOnce(D) -> Result<D, String>) -> Result<Self, String>;
 }
 
-impl Default for MonitorOptions {
-    fn default() -> Self {
-        MonitorOptions {
-            interval: Duration::from_millis(5),
-            capacity: 1024,
-            progress: false,
-        }
+impl<D: CacheBytes + Send + Sync + 'static> Item<D> for D {
+    fn prefix(&self, base: &str) -> String {
+        base.to_string()
+    }
+    fn data(&self) -> &D {
+        self
+    }
+    fn try_map(self, f: impl FnOnce(D) -> Result<D, String>) -> Result<D, String> {
+        f(self)
     }
 }
 
-/// Run `f` under a background monitor sampler on the current registry:
-/// series are sampled every `opts.interval`, `spec` health rules are
-/// evaluated per sample, progress is read from the executor's live
-/// `executor.items_completed` counter against `total_items`, and the
-/// final report (including the closing sample) is returned next to
-/// `f`'s output.
-pub(crate) fn monitored_run<T>(
-    label: &'static str,
-    total_items: u64,
-    opts: &MonitorOptions,
-    spec: HealthSpec,
-    f: impl FnOnce() -> Result<T, DomainError>,
-) -> Result<(T, MonitorReport), DomainError> {
-    let registry = Registry::current();
-    let sampler_cfg = SamplerConfig {
-        capacity: opts.capacity,
-        progress: Some(ProgressTarget {
-            counter: "executor.items_completed".to_string(),
-            total: total_items,
-        }),
-    };
-    let mut sampler = Sampler::new(
-        &registry,
-        Arc::new(WallMonitorClock::new()),
-        sampler_cfg,
-        spec,
-    );
-    if opts.progress {
-        sampler = sampler.with_observer(move |tick| {
-            if let Some(p) = tick.progress {
-                eprintln!("[{label}] {}", p.render());
-            }
-        });
+impl<D: CacheBytes + Send + Sync + 'static> Item<D> for (usize, D) {
+    fn prefix(&self, base: &str) -> String {
+        format!("{base}/m{}", self.0)
     }
-    let handle = sampler.start(opts.interval);
-    let out = f();
-    let report = handle.stop();
-    out.map(|v| (v, report))
+    fn data(&self) -> &D {
+        &self.1
+    }
+    fn try_map(self, f: impl FnOnce(D) -> Result<D, String>) -> Result<Self, String> {
+        let (m, data) = self;
+        f(data).map(|data| (m, data))
+    }
+}
+
+impl<D: CacheBytes + Send + Sync + 'static> Item<D> for cached::Member<D> {
+    fn prefix(&self, base: &str) -> String {
+        format!("{base}/m{}", self.0)
+    }
+    fn data(&self) -> &D {
+        &self.1
+    }
+    fn try_map(self, f: impl FnOnce(D) -> Result<D, String>) -> Result<Self, String> {
+        let cached::Member(m, data) = self;
+        f(data).map(|data| cached::Member(m, data))
+    }
 }
 
 /// Common result of running a domain pipeline.
@@ -110,21 +95,6 @@ pub struct DomainRun {
     /// stage closures, hence the `Arc`).
     pub ledger: Arc<Ledger>,
     /// Names of shard blobs written (across splits).
-    pub shard_files: Vec<String>,
-}
-
-/// Common result of running a domain batch through the streaming
-/// bounded-memory executor ([`climate::run_streaming_batch`],
-/// [`materials::run_streaming_batch`]): one pipeline, many ensemble
-/// members, merged per-stage metrics.
-pub struct DomainBatchRun {
-    /// Number of batch members processed.
-    pub members: usize,
-    /// Per-stage timing/volume merged across the batch.
-    pub stages: Vec<StageMetrics>,
-    /// Provenance of every transformation across all members.
-    pub ledger: Arc<Ledger>,
-    /// Names of shard blobs written (across members and splits).
     pub shard_files: Vec<String>,
 }
 

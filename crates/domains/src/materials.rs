@@ -16,9 +16,10 @@
 //! 4. **shard** — each graph becomes a BP process group; a JSONL sidecar
 //!    carries per-sample metadata, split by structure key.
 
-use crate::{DomainBatchRun, DomainError, DomainRun, MonitorOptions};
+use crate::cached::{self, OptionallyCached};
+use crate::{DomainError, DomainRun, Item};
+use drai_cache::StageCache;
 use drai_core::dataset::{DatasetManifest, Modality, VariableSpec};
-use drai_core::executor::{executor_health_spec, ExecutorConfig, StreamingBatchExt};
 use drai_core::pipeline::{Pipeline, StageCounters};
 use drai_core::readiness::ProcessingStage as S;
 use drai_formats::bp::{BpVar, BpWriter, ProcessGroup};
@@ -26,7 +27,6 @@ use drai_formats::xyz::{parse_xyz, write_xyz, Atom, Frame};
 use drai_io::json::Json;
 use drai_io::sink::{MemSink, StorageSink};
 use drai_provenance::{Artifact, Ledger};
-use drai_telemetry::monitor::MonitorReport;
 use drai_tensor::stats::Welford;
 use drai_tensor::Tensor;
 use drai_transform::split::{assign, Fractions, Split};
@@ -267,11 +267,7 @@ pub fn neighbor_pairs(positions: &[[f64; 3]], cutoff: f64) -> Vec<(usize, usize,
 }
 
 /// Stage body: validate parsed frames (atom counts, energies present).
-/// Shared by the plain and cached (`crate::cached`) builders.
-pub(crate) fn parse_stage(
-    data: MaterialsData,
-    c: &mut StageCounters,
-) -> Result<MaterialsData, String> {
+fn parse_stage(data: MaterialsData, c: &mut StageCounters) -> Result<MaterialsData, String> {
     for (i, f) in data.frames.iter().enumerate() {
         if f.atoms.is_empty() {
             return Err(format!("frame {i}: no atoms"));
@@ -290,7 +286,7 @@ pub(crate) fn parse_stage(
 }
 
 /// Stage body: per-atom energy statistics (parallel Welford merge).
-pub(crate) fn normalize_stage(
+fn normalize_stage(
     ledger: &Ledger,
     mut data: MaterialsData,
     c: &mut StageCounters,
@@ -322,7 +318,7 @@ pub(crate) fn normalize_stage(
 
 /// Stage body: cutoff-radius neighbor graphs (cell-list search), species
 /// one-hot node features, distance edge features.
-pub(crate) fn encode_stage(
+fn encode_stage(
     cfg: &MaterialsConfig,
     mut data: MaterialsData,
     c: &mut StageCounters,
@@ -387,7 +383,7 @@ pub(crate) fn encode_stage(
 }
 
 /// Stage body: BP writer per split + a JSONL sidecar of sample metadata.
-pub(crate) fn shard_stage(
+fn shard_stage(
     cfg: &MaterialsConfig,
     sink: &dyn StorageSink,
     ledger: &Ledger,
@@ -470,41 +466,57 @@ pub(crate) fn shard_stage(
     Ok(data)
 }
 
-/// Build the materials pipeline.
+/// The materials stage list, defined once: every materials builder is
+/// this list over one item shape ([`Item`]), named `name`. With
+/// `cache`, the normalize and encode stages run through it.
+pub(crate) fn stage_list<I: Item<MaterialsData>>(
+    name: &str,
+    cfg: &MaterialsConfig,
+    sink: Arc<dyn StorageSink>,
+    ledger: Arc<Ledger>,
+    cache: Option<Arc<StageCache>>,
+) -> Pipeline<I> {
+    let (cfg_encode, cfg_shard) = (cfg.clone(), cfg.clone());
+    let ledger_norm = ledger.clone();
+    Pipeline::builder(name)
+        .stage("parse", S::Ingest, |item: I, c| {
+            item.try_map(|data| parse_stage(data, c))
+        })
+        .maybe_cached(
+            &cache,
+            "normalize",
+            S::Transform,
+            cached::materials_normalize_fingerprint(cfg),
+            |_| true,
+            move |item: I, c| item.try_map(|data| normalize_stage(&ledger_norm, data, c)),
+        )
+        .maybe_cached(
+            &cache,
+            "encode",
+            S::Structure,
+            cached::materials_encode_fingerprint(cfg),
+            |_| true,
+            move |item: I, c| item.try_map(|data| encode_stage(&cfg_encode, data, c)),
+        )
+        .stage("shard", S::Shard, move |item: I, c| {
+            let prefix = item.prefix("materials");
+            item.try_map(|data| shard_stage(&cfg_shard, sink.as_ref(), &ledger, &prefix, data, c))
+        })
+        .build()
+}
+
+/// Build the materials pipeline, sharding under `materials/`.
 pub fn build_pipeline(
     cfg: &MaterialsConfig,
     sink: Arc<dyn StorageSink>,
     ledger: Arc<Ledger>,
 ) -> Pipeline<MaterialsData> {
-    let cfg_encode = cfg.clone();
-    let cfg_shard = cfg.clone();
-    let ledger_shard = ledger.clone();
-    let ledger_norm = ledger;
-
-    Pipeline::builder("materials")
-        .stage("parse", S::Ingest, parse_stage)
-        .stage("normalize", S::Transform, move |data: MaterialsData, c| {
-            normalize_stage(&ledger_norm, data, c)
-        })
-        .stage("encode", S::Structure, move |data: MaterialsData, c| {
-            encode_stage(&cfg_encode, data, c)
-        })
-        .stage("shard", S::Shard, move |data: MaterialsData, c| {
-            shard_stage(
-                &cfg_shard,
-                sink.as_ref(),
-                &ledger_shard,
-                "materials",
-                data,
-                c,
-            )
-        })
-        .build()
+    stage_list("materials", cfg, sink, ledger, None)
 }
 
 /// One batch member's parsed input: generate and parse a member-seeded
 /// raw XYZ in a staging [`MemSink`], the raw material for
-/// [`run_streaming_batch`].
+/// [`build_batch_pipeline`].
 pub fn member_input(cfg: &MaterialsConfig, member: usize) -> Result<MaterialsData, DomainError> {
     let member_cfg = MaterialsConfig {
         seed: cfg.seed.wrapping_add(member as u64),
@@ -522,94 +534,14 @@ pub fn member_input(cfg: &MaterialsConfig, member: usize) -> Result<MaterialsDat
 }
 
 /// Build the materials pipeline over `(member, data)` items for batch
-/// execution: same stage bodies as [`build_pipeline`], with each
+/// execution: the same stage list as [`build_pipeline`], with each
 /// member's BP + JSONL shards written under `materials/m<member>/`.
 pub fn build_batch_pipeline(
     cfg: &MaterialsConfig,
     sink: Arc<dyn StorageSink>,
     ledger: Arc<Ledger>,
 ) -> Pipeline<(usize, MaterialsData)> {
-    let cfg_encode = cfg.clone();
-    let cfg_shard = cfg.clone();
-    let ledger_shard = ledger.clone();
-    let ledger_norm = ledger;
-
-    Pipeline::builder("materials-batch")
-        .stage(
-            "parse",
-            S::Ingest,
-            |(m, data): (usize, MaterialsData), c| parse_stage(data, c).map(|data| (m, data)),
-        )
-        .stage("normalize", S::Transform, move |(m, data), c| {
-            normalize_stage(&ledger_norm, data, c).map(|data| (m, data))
-        })
-        .stage("encode", S::Structure, move |(m, data), c| {
-            encode_stage(&cfg_encode, data, c).map(|data| (m, data))
-        })
-        .stage("shard", S::Shard, move |(m, data), c| {
-            shard_stage(
-                &cfg_shard,
-                sink.as_ref(),
-                &ledger_shard,
-                &format!("materials/m{m}"),
-                data,
-                c,
-            )
-            .map(|data| (m, data))
-        })
-        .build()
-}
-
-/// Run a batch of materials datasets through the streaming
-/// bounded-memory executor: `members` member-seeded structure sets flow
-/// through the pipelined stage chain concurrently, each sharding under
-/// its own `materials/m<member>/` prefix.
-pub fn run_streaming_batch(
-    cfg: &MaterialsConfig,
-    sink: Arc<dyn StorageSink>,
-    members: usize,
-    exec: &ExecutorConfig,
-) -> Result<DomainBatchRun, DomainError> {
-    let registry = drai_telemetry::Registry::current();
-    let run_span = registry.span("domain.materials.run_batch");
-    let _in_run = run_span.enter();
-    let ledger = Arc::new(Ledger::new());
-    let pipeline = build_batch_pipeline(cfg, sink.clone(), ledger.clone());
-    let mut items = Vec::with_capacity(members);
-    for m in 0..members {
-        items.push((m, member_input(cfg, m)?));
-    }
-    let (_outputs, stages) = pipeline.run_batch_streaming(items, exec)?;
-    let shard_files = sink
-        .list()?
-        .into_iter()
-        .filter(|n| n.starts_with("materials/") && n.ends_with(".bp"))
-        .collect();
-    run_span.add_items(members as u64);
-    Ok(DomainBatchRun {
-        members,
-        stages,
-        ledger,
-        shard_files,
-    })
-}
-
-/// [`run_streaming_batch`] under a live monitor — same contract as
-/// [`crate::climate::run_streaming_batch_monitored`]: executor time
-/// series sampled at `mon.interval`, default
-/// [`executor_health_spec`] rules, optional live progress lines, and
-/// the [`MonitorReport`] returned next to the batch result.
-pub fn run_streaming_batch_monitored(
-    cfg: &MaterialsConfig,
-    sink: Arc<dyn StorageSink>,
-    members: usize,
-    exec: &ExecutorConfig,
-    mon: &MonitorOptions,
-) -> Result<(DomainBatchRun, MonitorReport), DomainError> {
-    let spec = executor_health_spec(exec, 4);
-    crate::monitored_run("materials-batch", members as u64, mon, spec, || {
-        run_streaming_batch(cfg, sink, members, exec)
-    })
+    stage_list("materials-batch", cfg, sink, ledger, None)
 }
 
 /// Run the complete materials archetype.
@@ -689,6 +621,7 @@ pub fn run(cfg: &MaterialsConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drai_core::executor::{ExecutorConfig, StreamingBatchExt};
     use drai_core::{ReadinessAssessor, ReadinessLevel};
     use drai_formats::bp::BpReader;
     use drai_io::sink::MemSink;
@@ -873,56 +806,33 @@ mod tests {
     fn streaming_batch_shards_each_member_under_its_own_prefix() {
         let cfg = small_cfg();
         let sink: Arc<dyn StorageSink> = Arc::new(MemSink::new());
-        let run = run_streaming_batch(&cfg, sink.clone(), 3, &ExecutorConfig::default()).unwrap();
-        assert_eq!(run.members, 3);
-        assert_eq!(run.stages.len(), 4, "parse/normalize/encode/shard");
+        let p = build_batch_pipeline(&cfg, sink.clone(), Arc::new(Ledger::new()));
+        let items = (0..3)
+            .map(|m| member_input(&cfg, m).map(|data| (m, data)))
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap();
+        let (outputs, stages) = p
+            .run_batch_streaming(items, &ExecutorConfig::default())
+            .unwrap();
+        assert_eq!(outputs.len(), 3);
+        assert_eq!(stages.len(), 4, "parse/normalize/encode/shard");
+        let names = sink.list().unwrap();
         for m in 0..3 {
             let prefix = format!("materials/m{m}/");
-            assert!(
-                run.shard_files.iter().any(|n| n.starts_with(&prefix)),
-                "no BP shards under {prefix}: {:?}",
-                run.shard_files
-            );
-            // The sidecar rides along under the same member prefix.
-            assert!(
-                sink.list()
-                    .unwrap()
-                    .iter()
-                    .any(|n| n.starts_with(&prefix) && n.ends_with(".jsonl")),
-                "no JSONL sidecar under {prefix}"
-            );
+            // BP shards with their JSONL sidecars under the same member
+            // prefix.
+            for ext in [".bp", ".jsonl"] {
+                assert!(
+                    names
+                        .iter()
+                        .any(|n| n.starts_with(&prefix) && n.ends_with(ext)),
+                    "no {ext} blob under {prefix}: {names:?}"
+                );
+            }
         }
         // Member seeds differ, so the raw structure sets differ.
         let a = member_input(&cfg, 0).unwrap();
         let b = member_input(&cfg, 1).unwrap();
         assert_ne!(a.frames[0].atoms[0].position, b.frames[0].atoms[0].position);
-    }
-
-    #[test]
-    fn streaming_batch_monitored_records_executor_series() {
-        use drai_telemetry::{Registry, TraceContext};
-        let reg = Registry::new();
-        let _scope = TraceContext::root(&reg).attach();
-        let cfg = small_cfg();
-        let sink: Arc<dyn StorageSink> = Arc::new(MemSink::new());
-        let mon = MonitorOptions {
-            interval: std::time::Duration::from_millis(1),
-            ..MonitorOptions::default()
-        };
-        let (run, report) =
-            run_streaming_batch_monitored(&cfg, sink, 3, &ExecutorConfig::default(), &mon).unwrap();
-        assert_eq!(run.members, 3);
-        // The closing sample guarantees the executor series exist even
-        // when the run beats the first interval.
-        assert!(report.ticks >= 1);
-        let done = report
-            .series_named("executor.items_completed")
-            .expect("live progress counter sampled");
-        assert_eq!(done.latest().unwrap().value, 3.0);
-        assert!(report.series_named("executor.queue_depth").is_some());
-        // Artifact round-trips through the JSONL schema.
-        let text = report.to_jsonl();
-        let parsed = drai_telemetry::monitor::MonitorReport::parse_jsonl(&text).unwrap();
-        assert_eq!(parsed.to_jsonl(), text);
     }
 }

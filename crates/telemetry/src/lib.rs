@@ -102,11 +102,9 @@ pub const HISTOGRAM_BUCKETS: usize = 64;
 /// CI. Span names (`Registry::span` / `Registry::time`) are validated
 /// against the same list.
 pub const METRIC_FAMILIES: &[&str] = &[
-    // drai-core pipeline stages (counter, counter, counter, histogram,
-    // span histogram)
+    // drai-core pipeline stages (counter, counter, histogram, counter)
     "pipeline.*.*.records",
     "pipeline.*.*.bytes",
-    "pipeline.*.*.retries",
     "pipeline.*.*.item_ns",
     "pipeline.*.refinements",
     // drai-core streaming executor (gauge, histogram, counter, gauge,
@@ -188,13 +186,11 @@ pub const METRIC_FAMILIES: &[&str] = &[
     "cache.put",
     // span tree: drai-core pipeline run/stage spans
     "pipeline.*.run",
-    "pipeline.*.run_batch",
     "pipeline.*.run_streaming",
     "pipeline.*.run_iterative",
     "pipeline.*.*",
     // span tree: drai-domains archetype runs
     "domain.*.run",
-    "domain.*.run_batch",
     "domain.*.ingest",
     // span tree: drai-io worker and shard container spans
     "io.prefetch.worker",

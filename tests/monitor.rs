@@ -1,9 +1,9 @@
 //! Live-monitor acceptance tests (ISSUE 9 gate):
 //!
-//! * seeded bottleneck naming — one climate batch stage is artificially
-//!   slowed (which one is chosen by the CI `FAULT_SEED` sweep) and the
-//!   post-run diagnosis must name exactly that stage, with the JSONL
-//!   artifact round-tripping byte-identically;
+//! * seeded bottleneck naming — one stage of a four-stage streaming
+//!   batch sleeps on every item (which one is chosen by the CI
+//!   `FAULT_SEED` sweep) and the post-run diagnosis must name exactly
+//!   that stage, with the JSONL artifact round-tripping byte-identically;
 //! * sampler determinism — two registries driven through the same
 //!   mutation sequence under [`ManualClock`]s produce bitwise-identical
 //!   artifacts;
@@ -11,56 +11,56 @@
 //!   last `capacity` points, oldest-first, ticks strictly increasing.
 
 use drai::core::executor::{executor_health_spec, ExecutorConfig, StreamingBatchExt};
-use drai::domains::climate;
+use drai::core::pipeline::{Pipeline, StageCounters};
+use drai::core::ProcessingStage as S;
 use drai::io::fault::FaultConfig;
-use drai::io::sink::{MemSink, StorageSink};
-use drai::provenance::Ledger;
 use drai::telemetry::monitor::{
     ManualClock, MonitorReport, ProgressTarget, Sampler, SamplerConfig, WallMonitorClock,
 };
 use drai::telemetry::{Registry, TraceContext};
-use drai::tensor::LatLonGrid;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The four climate batch stages, indexed by `FAULT_SEED % 4` — each CI
-/// seed exercises a different injected bottleneck.
-const STAGES: [&str; 4] = ["validate", "regrid", "normalize", "shard"];
+/// The four stages, indexed by `FAULT_SEED % 4` — each CI seed
+/// exercises a different injected bottleneck.
+const STAGES: [(&str, S); 4] = [
+    ("validate", S::Ingest),
+    ("regrid", S::Preprocess),
+    ("normalize", S::Transform),
+    ("shard", S::Shard),
+];
 
-fn small_cfg() -> climate::ClimateConfig {
-    climate::ClimateConfig {
-        src_grid: LatLonGrid::global(8, 16),
-        dst_grid: LatLonGrid::global(6, 12),
-        timesteps: 2,
-        shard_bytes: 1 << 20,
-        ..climate::ClimateConfig::default()
-    }
+/// A four-stage pipeline in which `slow` sleeps 12 ms per item and
+/// every other stage passes the item straight on.
+fn lagged_pipeline(slow: &'static str) -> Pipeline<u64> {
+    STAGES
+        .iter()
+        .fold(Pipeline::builder("lagged"), |b, &(name, kind)| {
+            b.stage(name, kind, move |x: u64, c: &mut StageCounters| {
+                if name == slow {
+                    std::thread::sleep(Duration::from_millis(12));
+                }
+                c.records = 1;
+                Ok(x + 1)
+            })
+        })
+        .build()
 }
 
-/// The acceptance scenario: a streaming climate batch with one
-/// artificially slowed stage, sampled live; the diagnosis must name the
-/// slowed stage as the bottleneck and the artifact must round-trip.
+/// The acceptance scenario: a streaming batch with one artificially
+/// slowed stage, sampled live; the diagnosis must name the slowed stage
+/// as the bottleneck and the artifact must round-trip.
 #[test]
 fn slowed_stage_is_named_by_diagnosis_and_artifact_round_trips() {
     let seed = FaultConfig::seed_from_env(1);
-    let slow = STAGES[seed as usize % STAGES.len()];
+    let slow = STAGES[seed as usize % STAGES.len()].0;
     let members = 6usize;
 
     let registry = Registry::new();
     let scope = TraceContext::root(&registry).attach();
-    let cfg = small_cfg();
-    let sink: Arc<dyn StorageSink> = Arc::new(MemSink::new());
     let exec = ExecutorConfig::default();
-    let pipeline = climate::build_batch_pipeline_slowed(
-        &cfg,
-        sink,
-        Arc::new(Ledger::new()),
-        slow,
-        Duration::from_millis(12),
-    );
-    let items: Vec<(usize, climate::ClimateData)> = (0..members)
-        .map(|m| (m, climate::member_input(&cfg, m)))
-        .collect();
+    let pipeline = lagged_pipeline(slow);
+    let items: Vec<u64> = (0..members as u64).collect();
 
     let sampler = Sampler::new(
         &registry,
@@ -75,12 +75,13 @@ fn slowed_stage_is_named_by_diagnosis_and_artifact_round_trips() {
         executor_health_spec(&exec, STAGES.len()),
     );
     let handle = sampler.start(Duration::from_millis(1));
-    let (_outputs, _stages) = pipeline.run_batch_streaming(items, &exec).unwrap();
+    let (outputs, _stages) = pipeline.run_batch_streaming(items, &exec).unwrap();
+    assert_eq!(outputs, (4..4 + members as u64).collect::<Vec<_>>());
     let report = handle.stop();
     drop(scope);
 
-    // The injected 12 ms/item lag dominates every other stage on this
-    // tiny grid, so the slowed stage must win the busy-integral vote.
+    // The injected 12 ms/item lag dominates every other stage, so the
+    // slowed stage must win the busy-integral vote.
     let diag = report.diagnose();
     let bottleneck = diag
         .bottleneck
@@ -88,7 +89,7 @@ fn slowed_stage_is_named_by_diagnosis_and_artifact_round_trips() {
         .expect("a bottleneck stage is named");
     assert_eq!(
         (bottleneck.pipeline.as_str(), bottleneck.stage.as_str()),
-        ("climate-batch", slow),
+        ("lagged", slow),
         "seed {seed}: diagnosis named the wrong stage\n{}",
         diag.render()
     );
@@ -103,6 +104,7 @@ fn slowed_stage_is_named_by_diagnosis_and_artifact_round_trips() {
         .series_named("executor.items_completed")
         .expect("live progress counter sampled");
     assert_eq!(done.latest().unwrap().value, members as f64);
+    assert!(report.series_named("executor.queue_depth").is_some());
 
     // The JSONL artifact round-trips byte-identically.
     let text = report.to_jsonl();

@@ -2,11 +2,13 @@
 //!
 //! * property — for arbitrary inputs, per-item stage delays, channel
 //!   capacities and worker counts, the streaming executor produces
-//!   exactly `run_batch`'s outputs in input order;
+//!   exactly the outputs of per-item sequential `Pipeline::run`, in
+//!   input order;
 //! * a panicking stage propagates the panic to the caller without
 //!   deadlocking the worker/feeder threads;
 //! * error ordering — with several failing items in flight, streaming
-//!   and rayon batch agree on the lowest-input-index error;
+//!   surfaces the same error as sequential runs in input order: the
+//!   lowest input index's;
 //! * fault injection — a cached stage whose cache storage corrupts
 //!   entries (seeded [`FaultSink`], CI `FAULT_SEED` sweep) still
 //!   streams bit-identical outputs, quarantining damaged entries.
@@ -15,6 +17,7 @@ use drai::cache::clock::LogicalClock;
 use drai::cache::{CachedPipelineExt, StageCache};
 use drai::core::executor::{ExecutorConfig, StreamingBatchExt};
 use drai::core::pipeline::{Pipeline, StageCounters};
+use drai::core::CoreError;
 use drai::core::ProcessingStage as S;
 use drai::io::fault::{FaultConfig, FaultSink};
 use drai::io::sink::{MemSink, StorageSink};
@@ -51,9 +54,28 @@ fn delayed_pipeline(salt: u64) -> Pipeline<u64> {
         .build()
 }
 
+/// The sequential reference: every item through `Pipeline::run` in
+/// input order, stopping at the first error, with per-stage record
+/// counts summed.
+fn sequential(
+    pipeline: &Pipeline<u64>,
+    items: Vec<u64>,
+) -> Result<(Vec<u64>, Vec<u64>), CoreError> {
+    let mut outputs = Vec::with_capacity(items.len());
+    let mut records = vec![0; pipeline.stage_names().len()];
+    for item in items {
+        let run = pipeline.run(item)?;
+        for (r, stage) in records.iter_mut().zip(&run.stages) {
+            *r += stage.throughput.records;
+        }
+        outputs.push(run.output);
+    }
+    Ok((outputs, records))
+}
+
 proptest! {
     #[test]
-    fn streaming_outputs_match_run_batch_in_input_order(
+    fn streaming_outputs_match_sequential_runs_in_input_order(
         items in proptest::collection::vec(any::<u64>(), 0..16),
         salt in any::<u64>(),
         capacity in 1usize..5,
@@ -67,12 +89,12 @@ proptest! {
         let (streamed, stream_stages) = pipeline
             .run_batch_streaming(items.clone(), &cfg)
             .expect("streaming run");
-        let (batched, batch_stages) = pipeline.run_batch(items).expect("batch run");
-        prop_assert_eq!(streamed, batched);
+        let (expected, records) = sequential(&pipeline, items).expect("sequential runs");
+        prop_assert_eq!(streamed, expected);
         // Merged volume counters agree stage by stage (timings differ).
-        for (a, b) in stream_stages.iter().zip(&batch_stages) {
-            prop_assert_eq!(&a.name, &b.name);
-            prop_assert_eq!(a.throughput.records, b.throughput.records);
+        prop_assert_eq!(stream_stages.len(), records.len());
+        for (a, &r) in stream_stages.iter().zip(&records) {
+            prop_assert_eq!(a.throughput.records, r);
         }
     }
 }
@@ -107,7 +129,7 @@ fn panicking_stage_propagates_without_deadlock() {
 }
 
 #[test]
-fn streaming_and_rayon_batch_agree_on_lowest_index_error() {
+fn streaming_and_sequential_runs_agree_on_lowest_index_error() {
     let pipeline: Pipeline<u64> = Pipeline::builder("flaky")
         .stage("slow-fail", S::Ingest, |x: u64, _c: &mut StageCounters| {
             // Items 7, 21 and 35 all fail; later ones tend to fail
@@ -128,13 +150,11 @@ fn streaming_and_rayon_batch_agree_on_lowest_index_error() {
         let stream_err = pipeline
             .run_batch_streaming((0..48).collect(), &cfg)
             .expect_err("must fail");
-        let batch_err = pipeline
-            .run_batch((0..48).collect())
-            .expect_err("must fail");
+        let sequential_err = sequential(&pipeline, (0..48).collect()).expect_err("must fail");
         assert_eq!(
             stream_err.to_string(),
-            batch_err.to_string(),
-            "rep {rep}: executors disagree on the surfaced error"
+            sequential_err.to_string(),
+            "rep {rep}: streaming and sequential runs disagree on the surfaced error"
         );
         assert!(
             stream_err.to_string().contains("item 7 failed"),
