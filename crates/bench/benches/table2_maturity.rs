@@ -140,12 +140,7 @@ fn bench_transitions(c: &mut Criterion) {
             let mut splits: [Vec<&[u8]>; 3] = [vec![], vec![], vec![]];
             for (i, rec) in records.iter().enumerate() {
                 let s = assign(&format!("r{i}"), 1, f).unwrap();
-                splits[match s {
-                    drai_transform::split::Split::Train => 0,
-                    drai_transform::split::Split::Validation => 1,
-                    drai_transform::split::Split::Test => 2,
-                }]
-                .push(rec);
+                splits[s.index()].push(rec);
             }
             for (si, recs) in splits.iter().enumerate() {
                 ShardWriter::new(ShardSpec::new(format!("s{si}"), 1 << 20), &sink)

@@ -2,11 +2,12 @@
 //! preparation.
 //!
 //! The assessor (see [`crate::assess`]) never trusts a declared readiness
-//! level; it derives one from the manifest's recorded evidence. Pipelines
-//! update the manifest as stages complete, and provenance records the
-//! transitions.
+//! level; it derives one from the manifest's recorded evidence. An
+//! archetype sets that evidence once its pipeline has completed, and
+//! provenance records the transitions.
 
 use crate::readiness::ProcessingStage;
+use crate::CoreError;
 use drai_io::json::Json;
 use drai_tensor::DType;
 
@@ -70,9 +71,10 @@ pub struct VariableSpec {
 
 /// Evidence of what preparation a dataset has undergone.
 ///
-/// Boolean fields are *claims backed by pipeline execution* — the domain
-/// pipelines set them as stages complete, and integration tests verify a
-/// fresh synthetic dataset walks levels 1→5 as the flags accumulate.
+/// Boolean fields are *claims backed by pipeline execution* — a domain
+/// archetype sets them once its whole pipeline has completed (a failed
+/// run yields an error, never a manifest), and integration tests verify
+/// a fresh synthetic dataset walks levels 1→5 as the flags accumulate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DatasetManifest {
     /// Dataset name.
@@ -305,6 +307,78 @@ impl DatasetManifest {
             ),
         ])
     }
+
+    /// Parse the JSON [`DatasetManifest::to_json`] writes. An absent
+    /// schema reads as empty, absent evidence flags as `false` and absent
+    /// fractions as 0; a missing header or schema field or `evidence`
+    /// object, an unknown modality or dtype, or a shape dim that is not a
+    /// non-negative integer is an error.
+    pub fn from_json(v: &Json) -> Result<DatasetManifest, CoreError> {
+        let bad = CoreError::InvalidManifest;
+        let field = |v: &Json, key: &str| {
+            v.get(key)
+                .and_then(Json::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| bad(format!("missing string {key:?}")))
+        };
+        let modality = field(v, "modality")?;
+        let modality = Modality::from_name(&modality)
+            .ok_or_else(|| bad(format!("unknown modality {modality:?}")))?;
+        let records = v
+            .get("records")
+            .and_then(Json::as_u64)
+            .ok_or_else(|| bad("missing integer \"records\"".into()))?;
+        let mut m =
+            DatasetManifest::raw(&field(v, "name")?, &field(v, "domain")?, modality, records);
+        for s in v.get("schema").and_then(Json::as_arr).unwrap_or_default() {
+            let dtype = field(s, "dtype")?;
+            let shape = s
+                .get("shape")
+                .and_then(Json::as_arr)
+                .ok_or_else(|| bad("missing array \"shape\"".into()))?;
+            m.schema.push(VariableSpec {
+                name: field(s, "name")?,
+                dtype: DType::ALL
+                    .into_iter()
+                    .find(|d| d.to_string() == dtype)
+                    .ok_or_else(|| bad(format!("unknown dtype {dtype:?}")))?,
+                unit: field(s, "unit")?,
+                shape: shape
+                    .iter()
+                    .map(|d| {
+                        d.as_u64()
+                            .map(|d| d as usize)
+                            .ok_or_else(|| bad(format!("shape dim {d:?} is not an integer")))
+                    })
+                    .collect::<Result<_, _>>()?,
+            });
+        }
+        let e = v
+            .get("evidence")
+            .ok_or_else(|| bad("missing \"evidence\"".into()))?;
+        let b = |key: &str| e.get(key).and_then(Json::as_bool).unwrap_or(false);
+        let f = |key: &str| e.get(key).and_then(Json::as_f64).unwrap_or(0.0);
+        m.standard_format = b("standard_format");
+        m.ingest_validated = b("ingest_validated");
+        m.metadata_enriched = b("metadata_enriched");
+        m.high_throughput_ingest = b("high_throughput_ingest");
+        m.ingest_automated = b("ingest_automated");
+        m.aligned_initial = b("aligned_initial");
+        m.aligned_standardized = b("aligned_standardized");
+        m.alignment_automated = b("alignment_automated");
+        m.normalized_initial = b("normalized_initial");
+        m.normalized_final = b("normalized_final");
+        m.transform_audited = b("transform_audited");
+        m.requires_anonymization = b("requires_anonymization");
+        m.anonymized = b("anonymized");
+        m.label_coverage = f("label_coverage");
+        m.features_extracted = b("features_extracted");
+        m.features_validated = b("features_validated");
+        m.split_assigned = b("split_assigned");
+        m.sharded = b("sharded");
+        m.missing_fraction = f("missing_fraction");
+        Ok(m)
+    }
 }
 
 #[cfg(test)]
@@ -386,8 +460,29 @@ mod tests {
         );
         let schema = j.get("schema").unwrap().as_arr().unwrap();
         assert_eq!(schema[0].get("dtype").unwrap().as_str(), Some("f32"));
-        // Round-trip through text parses cleanly.
-        let text = j.to_string_compact();
-        assert!(Json::parse(&text).is_ok());
+        // Round-trip through text restores the manifest exactly.
+        m.schema.push(VariableSpec {
+            name: "energy".into(),
+            dtype: DType::F64,
+            unit: "eV".into(),
+            shape: vec![],
+        });
+        m.label_coverage = 0.75;
+        m.missing_fraction = 0.125;
+        m.sharded = true;
+        let text = m.to_json().to_string_compact();
+        let back = DatasetManifest::from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, m);
+        // Unknown dtypes and non-integer dims are rejected, not coerced.
+        for (from, to) in [
+            ("\"dtype\":\"f32\"", "\"dtype\":\"f16\""),
+            ("[196608,4]", "[196608,4.5]"),
+            ("[196608,4]", "[196608,\"4\"]"),
+        ] {
+            assert!(text.contains(from), "{text}");
+            let hostile = Json::parse(&text.replacen(from, to, 1)).unwrap();
+            assert!(DatasetManifest::from_json(&hostile).is_err(), "{to}");
+        }
+        assert!(DatasetManifest::from_json(&Json::parse("{}").unwrap()).is_err());
     }
 }

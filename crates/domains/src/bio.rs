@@ -18,14 +18,14 @@
 //!    encrypt it with ChaCha20 before it touches storage; verify the
 //!    stored bytes scan clean of identifiers.
 
-use crate::{DomainError, DomainRun};
+use crate::{by_split, split_of, DomainError, DomainRun};
 use drai_core::dataset::{DatasetManifest, Modality, VariableSpec};
 use drai_core::pipeline::{Pipeline, StageCounters};
 use drai_core::readiness::ProcessingStage as S;
 use drai_formats::csv::{parse_csv, write_csv, CsvTable};
 use drai_formats::fasta::{parse_fasta, write_fasta, FastaRecord};
 use drai_formats::h5lite::{AttrValue, H5File};
-use drai_io::crypto::{chacha20_xor, derive_key, key_id, Nonce};
+use drai_io::crypto::{chacha20_xor, derive_key, key_id, Key, Nonce};
 use drai_io::sink::StorageSink;
 use drai_provenance::{Artifact, Ledger};
 use drai_tensor::Tensor;
@@ -36,7 +36,7 @@ use drai_transform::anonymize::{
 use drai_transform::encode::Alphabet;
 use drai_transform::impute::{impute, Strategy};
 use drai_transform::normalize::{Method, Normalizer};
-use drai_transform::split::{assign, Fractions, Split};
+use drai_transform::split::{Fractions, Split};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -180,8 +180,9 @@ pub struct BioData {
     pub intake_phi_findings: usize,
 }
 
-/// Parse raw blobs into the pipeline input.
-pub fn ingest(cfg: &BioConfig, sink: &dyn StorageSink) -> Result<BioData, DomainError> {
+/// Parse raw blobs into the pipeline input. The raw blob names are
+/// fixed, so the config is not consulted.
+pub fn ingest(_cfg: &BioConfig, sink: &dyn StorageSink) -> Result<BioData, DomainError> {
     let csv_bytes = sink.read_file("raw/ehr.csv")?;
     let csv_text = String::from_utf8_lossy(&csv_bytes);
     let table = parse_csv(&csv_text)?;
@@ -223,7 +224,6 @@ pub fn ingest(cfg: &BioConfig, sink: &dyn StorageSink) -> Result<BioData, Domain
             .find(|r| r.id() == *id)
             .map(|r| r.sequence.clone())
             .unwrap_or_default();
-        let _ = cfg;
         patients.push(PatientRecord {
             patient_id: id.to_string(),
             pseudonym: String::new(),
@@ -249,7 +249,6 @@ pub fn build_pipeline(
     ledger: Arc<Ledger>,
 ) -> Pipeline<BioData> {
     let cfg_anon = cfg.clone();
-    let cfg_fuse = cfg.clone();
     let cfg_shard = cfg.clone();
     let ledger_anon = ledger.clone();
     let ledger_shard = ledger;
@@ -323,7 +322,6 @@ pub fn build_pipeline(
             for p in &data.patients {
                 let labs: Vec<f32> = p.labs.iter().map(|&x| x as f32).collect();
                 let onehot = dna.one_hot(&p.sequence);
-                let _ = cfg_fuse.tile_len;
                 bytes += (labs.len() * 4 + onehot.len() * 4) as u64;
                 fused.push((p.pseudonym.clone(), labs, onehot));
             }
@@ -335,47 +333,37 @@ pub fn build_pipeline(
         .stage("secure-shard", S::Shard, move |data: BioData, c| {
             // One h5lite container per split, ChaCha20-encrypted at rest.
             let key = derive_key(&cfg_shard.secret, "bio-shards");
-            let mut containers: [H5File; 3] = [H5File::new(), H5File::new(), H5File::new()];
-            let mut counts = [0usize; 3];
-            for (pseudonym, labs, onehot) in &data.fused {
-                let split = assign(pseudonym, cfg_shard.seed, cfg_shard.fractions)
-                    .expect("validated fractions");
-                let idx = match split {
-                    Split::Train => 0,
-                    Split::Validation => 1,
-                    Split::Test => 2,
-                };
-                let f = &mut containers[idx];
-                let base = format!("/patients/{pseudonym}");
-                let labs_t =
-                    Tensor::from_vec(labs.clone(), &[labs.len()]).map_err(|e| format!("{e}"))?;
-                f.put_tensor(&format!("{base}/labs"), &labs_t, labs.len().max(1))
-                    .map_err(|e| format!("{e}"))?;
-                f.put_tensor(&format!("{base}/onehot"), onehot, 64)
-                    .map_err(|e| format!("{e}"))?;
-                f.set_attr(
-                    &format!("{base}/labs"),
-                    "columns",
-                    AttrValue::Text(LAB_COLUMNS.join(",")),
-                )
-                .map_err(|e| format!("{e}"))?;
-                counts[idx] += 1;
-            }
-            let mut total = 0u64;
-            for (idx, split) in [Split::Train, Split::Validation, Split::Test]
+            let tagged = data
+                .fused
                 .iter()
-                .enumerate()
-            {
-                if counts[idx] == 0 {
+                .map(|patient| {
+                    let split = split_of(&patient.0, cfg_shard.seed, cfg_shard.fractions)?;
+                    Ok((split, patient))
+                })
+                .collect::<Result<Vec<_>, String>>()?;
+            let mut total = 0u64;
+            for (split, patients) in Split::ALL.into_iter().zip(by_split(tagged)) {
+                if patients.is_empty() {
                     continue;
                 }
-                let mut bytes = containers[idx].to_bytes();
-                // Nonce: split index + record count (unique per blob within
-                // this dataset-key context).
-                let mut nonce: Nonce = [0; 12];
-                nonce[0] = idx as u8;
-                nonce[4..12].copy_from_slice(&(counts[idx] as u64).to_le_bytes());
-                chacha20_xor(&key, &nonce, 0, &mut bytes);
+                let mut f = H5File::new();
+                for (pseudonym, labs, onehot) in &patients {
+                    let base = format!("/patients/{pseudonym}");
+                    let labs_t = Tensor::from_vec(labs.clone(), &[labs.len()])
+                        .map_err(|e| format!("{e}"))?;
+                    f.put_tensor(&format!("{base}/labs"), &labs_t, labs.len().max(1))
+                        .map_err(|e| format!("{e}"))?;
+                    f.put_tensor(&format!("{base}/onehot"), onehot, 64)
+                        .map_err(|e| format!("{e}"))?;
+                    f.set_attr(
+                        &format!("{base}/labs"),
+                        "columns",
+                        AttrValue::Text(LAB_COLUMNS.join(",")),
+                    )
+                    .map_err(|e| format!("{e}"))?;
+                }
+                let mut bytes = f.to_bytes();
+                secure_shard_xor(&key, split, patients.len(), &mut bytes);
                 let name = format!("bio/{}.h5lite.enc", split.name());
                 sink.write_file(&name, &bytes).map_err(|e| format!("{e}"))?;
                 total += bytes.len() as u64;
@@ -397,6 +385,16 @@ pub fn build_pipeline(
         .build()
 }
 
+/// Encrypt (or, applied again, decrypt) one split's secure shard. The
+/// nonce is the split index plus the shard's record count, unique per
+/// blob within this dataset-key context.
+fn secure_shard_xor(key: &Key, split: Split, records: usize, bytes: &mut [u8]) {
+    let mut nonce: Nonce = [0; 12];
+    nonce[0] = split.index() as u8;
+    nonce[4..12].copy_from_slice(&(records as u64).to_le_bytes());
+    chacha20_xor(key, &nonce, 0, bytes);
+}
+
 /// Decrypt and open one secure shard (the consumer side).
 pub fn open_secure_shard(
     cfg: &BioConfig,
@@ -405,16 +403,8 @@ pub fn open_secure_shard(
     record_count: usize,
 ) -> Result<H5File, DomainError> {
     let key = derive_key(&cfg.secret, "bio-shards");
-    let idx = match split {
-        Split::Train => 0u8,
-        Split::Validation => 1,
-        Split::Test => 2,
-    };
-    let mut nonce: Nonce = [0; 12];
-    nonce[0] = idx;
-    nonce[4..12].copy_from_slice(&(record_count as u64).to_le_bytes());
     let mut bytes = sink.read_file(&format!("bio/{}.h5lite.enc", split.name()))?;
-    chacha20_xor(&key, &nonce, 0, &mut bytes);
+    secure_shard_xor(&key, split, record_count, &mut bytes);
     Ok(H5File::from_bytes(&bytes)?)
 }
 
@@ -426,7 +416,6 @@ pub fn run(cfg: &BioConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun, Dom
     generate_raw(cfg, sink.as_ref())?;
     let ledger = Arc::new(Ledger::new());
     let input = ingest(cfg, sink.as_ref())?;
-    let intake_findings = input.intake_phi_findings;
     let pipeline = build_pipeline(cfg, sink.clone(), ledger.clone());
     let run = pipeline.run(input)?;
 
@@ -450,39 +439,10 @@ pub fn run(cfg: &BioConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun, Dom
             shape: vec![cfg.tile_len, 4],
         },
     ];
-    manifest.standard_format = true;
-    manifest.ingest_validated = true;
-    manifest.metadata_enriched = true;
-    manifest.high_throughput_ingest = true;
-    manifest.ingest_automated = true;
-    manifest.aligned_initial = true;
-    manifest.aligned_standardized = true;
-    manifest.alignment_automated = true;
-    manifest.normalized_initial = true;
-    manifest.normalized_final = true;
-    manifest.transform_audited = true;
     manifest.requires_anonymization = true;
     manifest.anonymized = true;
-    manifest.label_coverage = 1.0;
-    manifest.features_extracted = true;
-    manifest.features_validated = true;
-    manifest.split_assigned = true;
-    manifest.sharded = true;
-
-    let _ = intake_findings;
-    let shard_files = sink
-        .list()?
-        .into_iter()
-        .filter(|n| n.starts_with("bio/") && n.ends_with(".enc"))
-        .collect();
-
-    run_span.add_items(manifest.records);
-    Ok(DomainRun {
-        manifest,
-        stages: run.stages,
-        ledger,
-        shard_files,
-    })
+    DomainRun::completed(manifest, run.stages, ledger, sink.as_ref(), ".enc")
+        .inspect(|run| run_span.add_items(run.manifest.records))
 }
 
 #[cfg(test)]
@@ -490,6 +450,7 @@ mod tests {
     use super::*;
     use drai_core::{ReadinessAssessor, ReadinessLevel};
     use drai_io::sink::MemSink;
+    use drai_transform::split::assign;
 
     fn small_cfg() -> BioConfig {
         BioConfig {

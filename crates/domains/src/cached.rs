@@ -23,7 +23,7 @@ use drai_core::readiness::ProcessingStage;
 use drai_formats::xyz::{Atom, Frame};
 use drai_io::sink::StorageSink;
 use drai_provenance::Ledger;
-use drai_tensor::{LatLonGrid, Tensor};
+use drai_tensor::{Element, LatLonGrid, Tensor};
 use drai_transform::normalize::{Method, Normalizer};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -94,7 +94,7 @@ impl CacheBytes for ClimateData {
     }
 }
 
-fn put_tensor_f32(w: &mut ByteWriter, t: &Tensor<f32>) {
+fn put_tensor<T: Element>(w: &mut ByteWriter, t: &Tensor<T>) {
     w.put_u64(t.shape().len() as u64);
     for &d in t.shape() {
         w.put_u64(d as u64);
@@ -102,50 +102,15 @@ fn put_tensor_f32(w: &mut ByteWriter, t: &Tensor<f32>) {
     w.put_bytes(&t.to_le_bytes());
 }
 
-fn put_tensor_i64(w: &mut ByteWriter, t: &Tensor<i64>) {
-    w.put_u64(t.shape().len() as u64);
-    for &d in t.shape() {
-        w.put_u64(d as u64);
-    }
-    w.put_bytes(&t.to_le_bytes());
-}
-
-fn tensor_shape(r: &mut ByteReader) -> Result<Vec<usize>, String> {
+fn read_tensor<T: Element>(r: &mut ByteReader) -> Result<Tensor<T>, String> {
     let rank = r.u64()? as usize;
     if rank > 16 {
         return Err(format!("implausible tensor rank {rank}"));
     }
-    let mut shape = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        shape.push(r.u64()? as usize);
-    }
-    Ok(shape)
-}
-
-fn read_tensor_f32(r: &mut ByteReader) -> Result<Tensor<f32>, String> {
-    let shape = tensor_shape(r)?;
-    let raw = r.bytes()?;
-    if raw.len() % 4 != 0 {
-        return Err(format!("f32 tensor payload of {} bytes", raw.len()));
-    }
-    let vals: Vec<f32> = raw
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
-    Tensor::from_vec(vals, &shape).map_err(|e| format!("{e}"))
-}
-
-fn read_tensor_i64(r: &mut ByteReader) -> Result<Tensor<i64>, String> {
-    let shape = tensor_shape(r)?;
-    let raw = r.bytes()?;
-    if raw.len() % 8 != 0 {
-        return Err(format!("i64 tensor payload of {} bytes", raw.len()));
-    }
-    let vals: Vec<i64> = raw
-        .chunks_exact(8)
-        .map(|c| i64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-        .collect();
-    Tensor::from_vec(vals, &shape).map_err(|e| format!("{e}"))
+    let shape = (0..rank)
+        .map(|_| r.u64().map(|d| d as usize))
+        .collect::<Result<Vec<usize>, String>>()?;
+    Tensor::from_le_bytes(r.bytes()?, &shape).map_err(|e| format!("{e}"))
 }
 
 impl CacheBytes for MaterialsData {
@@ -180,11 +145,11 @@ impl CacheBytes for MaterialsData {
         w.put_u64(self.graphs.len() as u64);
         for g in &self.graphs {
             w.put_u64(g.structure_id as u64);
-            put_tensor_f32(&mut w, &g.node_features);
-            put_tensor_i64(&mut w, &g.edges);
-            put_tensor_f32(&mut w, &g.edge_lengths);
+            put_tensor(&mut w, &g.node_features);
+            put_tensor(&mut w, &g.edges);
+            put_tensor(&mut w, &g.edge_lengths);
             w.put_f64(g.energy_per_atom);
-            put_tensor_f32(&mut w, &g.forces);
+            put_tensor(&mut w, &g.forces);
         }
         w.finish()
     }
@@ -224,11 +189,11 @@ impl CacheBytes for MaterialsData {
         let mut graphs = Vec::with_capacity(ngraphs.min(4096));
         for _ in 0..ngraphs {
             let structure_id = r.u64()? as usize;
-            let node_features = read_tensor_f32(&mut r)?;
-            let edges = read_tensor_i64(&mut r)?;
-            let edge_lengths = read_tensor_f32(&mut r)?;
+            let node_features = read_tensor(&mut r)?;
+            let edges = read_tensor(&mut r)?;
+            let edge_lengths = read_tensor(&mut r)?;
             let energy_per_atom = r.f64()?;
-            let forces = read_tensor_f32(&mut r)?;
+            let forces = read_tensor(&mut r)?;
             graphs.push(GraphSample {
                 structure_id,
                 node_features,
@@ -388,6 +353,7 @@ mod tests {
     use drai_io::checksum::content_hash128;
     use drai_io::sink::MemSink;
     use drai_telemetry::{Registry, TraceContext};
+    use drai_transform::split::Split;
 
     fn climate_cfg() -> ClimateConfig {
         ClimateConfig {
@@ -784,11 +750,12 @@ mod tests {
         // The cold pass fills the cache and shards into `first`.
         let first: Arc<dyn StorageSink> = Arc::new(MemSink::new());
         run(&first);
-        let splits: Vec<&str> = ["train", "validation", "test"]
+        let splits: Vec<&str> = Split::ALL
+            .map(Split::name)
             .into_iter()
             .filter(|split| !shards(&first, split).is_empty())
             .collect();
-        assert!(splits.len() >= 2, "need two splits, got {splits:?}");
+        assert_eq!(splits.len(), 3, "need every split, got {splits:?}");
 
         // A sibling member's shard is not this run's shard: the hit is
         // rejected and every split is written under `climate/`.

@@ -15,7 +15,7 @@
 //!    tensors into NPY members of NPZ (STORE ZIP) shards.
 
 use crate::cached::{self, OptionallyCached};
-use crate::{DomainError, DomainRun, Item};
+use crate::{split_of, write_split_shards, DomainError, DomainRun, Item};
 use drai_cache::StageCache;
 use drai_core::dataset::{DatasetManifest, Modality, VariableSpec};
 use drai_core::pipeline::{Pipeline, StageCounters};
@@ -24,14 +24,13 @@ use drai_formats::netcdf::{NcAttr, NcDim, NcFile, NcValues, NcVar};
 use drai_formats::npy::write_npy;
 use drai_formats::zip::{write_zip, ZipEntry};
 use drai_io::parallel::prefetch_map;
-use drai_io::shard::{ShardSpec, ShardWriter};
 use drai_io::sink::StorageSink;
 use drai_provenance::{Artifact, Ledger};
 use drai_tensor::stats::Welford;
 use drai_tensor::{LatLonGrid, Tensor};
 use drai_transform::normalize::{Method, Normalizer};
 use drai_transform::regrid;
-use drai_transform::split::{assign, Fractions, Split};
+use drai_transform::split::{Fractions, Split};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -390,11 +389,10 @@ fn shard_stage(
 ) -> Result<ClimateData, String> {
     let ncells = data.grid.ncells();
     let shape = data.grid.shape();
-    let mut split_records: [Vec<Vec<u8>>; 3] = [vec![], vec![], vec![]];
     let records: Vec<(Split, Vec<u8>)> = (0..data.timesteps)
         .into_par_iter()
         .map(|t| {
-            let entries: Vec<ZipEntry> = data
+            let entries = data
                 .fields
                 .iter()
                 .enumerate()
@@ -403,58 +401,20 @@ fn shard_stage(
                         .iter()
                         .map(|&x| x as f32)
                         .collect();
-                    let tensor =
-                        Tensor::from_vec(field, &[shape[0], shape[1]]).expect("grid shape");
-                    ZipEntry {
+                    let tensor = Tensor::from_vec(field, &[shape[0], shape[1]])
+                        .map_err(|e| format!("{e}"))?;
+                    Ok(ZipEntry {
                         name: format!("{}.npy", VARIABLES[vi].0),
                         data: write_npy(&tensor),
-                    }
+                    })
                 })
-                .collect();
-            let split =
-                assign(&format!("t{t:06}"), cfg.seed, cfg.fractions).expect("validated fractions");
-            (
-                split,
-                write_zip(&entries).expect("shards are far below the 4 GiB zip limit"),
-            )
+                .collect::<Result<Vec<ZipEntry>, String>>()?;
+            let split = split_of(&format!("t{t:06}"), cfg.seed, cfg.fractions)?;
+            Ok((split, write_zip(&entries).map_err(|e| format!("{e}"))?))
         })
-        .collect();
-    for (split, rec) in records {
-        let idx = match split {
-            Split::Train => 0,
-            Split::Validation => 1,
-            Split::Test => 2,
-        };
-        split_records[idx].push(rec);
-    }
-    let mut total_bytes = 0u64;
-    for (idx, split) in [Split::Train, Split::Validation, Split::Test]
-        .iter()
-        .enumerate()
-    {
-        if split_records[idx].is_empty() {
-            continue;
-        }
-        let spec = ShardSpec::new(format!("{prefix}/{}", split.name()), cfg.shard_bytes);
-        let manifest = ShardWriter::new(spec, sink)
-            .write_all(&split_records[idx])
-            .map_err(|e| format!("{e}"))?;
-        total_bytes += manifest.payload_bytes;
-        for shard in &manifest.shards {
-            let content = sink.read_file(&shard.name).map_err(|e| format!("{e}"))?;
-            ledger.record(
-                "shard",
-                [
-                    ("split".to_string(), split.name().to_string()),
-                    ("format".to_string(), "npz".to_string()),
-                ],
-                vec![],
-                vec![Artifact::new(&shard.name, &content)],
-            );
-        }
-    }
+        .collect::<Result<_, String>>()?;
     c.records = data.timesteps as u64;
-    c.bytes = total_bytes;
+    c.bytes = write_split_shards(sink, ledger, prefix, cfg.shard_bytes, "npz", records)?;
     Ok(data)
 }
 
@@ -468,7 +428,7 @@ fn shards_present(
     timesteps: usize,
 ) -> bool {
     let splits: Result<BTreeSet<&str>, _> = (0..timesteps)
-        .map(|t| assign(&format!("t{t:06}"), cfg.seed, cfg.fractions).map(Split::name))
+        .map(|t| split_of(&format!("t{t:06}"), cfg.seed, cfg.fractions).map(Split::name))
         .collect();
     let (Ok(splits), Ok(names)) = (splits, sink.list()) else {
         return false;
@@ -645,7 +605,6 @@ pub fn run(cfg: &ClimateConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun,
     };
     let run = pipeline.run(input)?;
 
-    // Build the evidence manifest.
     let mut manifest = DatasetManifest::raw(
         "cmip-synth",
         "climate",
@@ -661,36 +620,8 @@ pub fn run(cfg: &ClimateConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun,
             shape: vec![cfg.dst_grid.nlat(), cfg.dst_grid.nlon()],
         })
         .collect();
-    manifest.standard_format = true;
-    manifest.ingest_validated = true;
-    manifest.metadata_enriched = true;
-    manifest.high_throughput_ingest = true;
-    manifest.ingest_automated = true;
-    manifest.aligned_initial = true;
-    manifest.aligned_standardized = true;
-    manifest.alignment_automated = true;
-    manifest.normalized_initial = true;
-    manifest.normalized_final = true;
-    manifest.transform_audited = true;
-    manifest.label_coverage = 1.0; // self-supervised forecasting: next-step targets
-    manifest.features_extracted = true;
-    manifest.features_validated = true;
-    manifest.split_assigned = true;
-    manifest.sharded = true;
-
-    let shard_files = sink
-        .list()?
-        .into_iter()
-        .filter(|n| n.starts_with("climate/") && n.ends_with(".shard"))
-        .collect();
-
-    run_span.add_items(manifest.records);
-    Ok(DomainRun {
-        manifest,
-        stages: run.stages,
-        ledger,
-        shard_files,
-    })
+    DomainRun::completed(manifest, run.stages, ledger, sink.as_ref(), ".shard")
+        .inspect(|run| run_span.add_items(run.manifest.records))
 }
 
 #[cfg(test)]

@@ -15,19 +15,18 @@
 //! 4. **shard** — windows become `tf.train.Example`s in TFRecord shards,
 //!    split by *shot* key so no shot straddles splits.
 
-use crate::{DomainError, DomainRun};
+use crate::{split_of, write_split_shards, DomainError, DomainRun};
 use drai_core::dataset::{DatasetManifest, Modality, VariableSpec};
 use drai_core::pipeline::{Pipeline, StageCounters};
 use drai_core::readiness::ProcessingStage as S;
 use drai_formats::example::Example;
 use drai_formats::tfrecord;
-use drai_io::shard::{ShardSpec, ShardWriter};
 use drai_io::sink::StorageSink;
-use drai_provenance::{Artifact, Ledger};
+use drai_provenance::Ledger;
 use drai_transform::align::{align_channels, window, Channel, Clock};
 use drai_transform::features::derivative;
 use drai_transform::normalize::{Method, Normalizer};
-use drai_transform::split::{assign, Fractions, Split};
+use drai_transform::split::{Fractions, Split};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -228,7 +227,6 @@ pub fn build_pipeline(
             move |mut data: FusionData, c: &mut StageCounters| {
                 // Drop shots with fewer than 2 live channels (cannot align a
                 // useful feature matrix from one signal).
-                let before = data.shots.len();
                 data.shots.retain(|s| s.channels.len() >= 2);
                 let samples: usize = data
                     .shots
@@ -237,7 +235,6 @@ pub fn build_pipeline(
                     .sum();
                 c.records = data.shots.len() as u64;
                 c.bytes = (samples * 16) as u64;
-                let _ = before;
                 Ok(data)
             },
         )
@@ -363,8 +360,7 @@ pub fn build_pipeline(
         })
         .stage("shard", S::Shard, move |data: FusionData, c| {
             // Encode windows as tf.train.Examples, split by shot key.
-            let mut split_records: [Vec<Vec<u8>>; 3] = [vec![], vec![], vec![]];
-            let encoded: Vec<(Split, Vec<u8>)> = data
+            let records: Vec<(Split, Vec<u8>)> = data
                 .windows
                 .par_iter()
                 .map(|w| {
@@ -374,52 +370,19 @@ pub fn build_pipeline(
                         .with_ints("shot_id", vec![w.shot_id as i64]);
                     let mut framed = Vec::new();
                     tfrecord::write_record(&mut framed, &ex.encode());
-                    let split = assign(
-                        &format!("shot-{}", w.shot_id),
-                        cfg_shard.seed,
-                        cfg_shard.fractions,
-                    )
-                    .expect("validated fractions");
-                    (split, framed)
+                    let key = format!("shot-{}", w.shot_id);
+                    Ok((split_of(&key, cfg_shard.seed, cfg_shard.fractions)?, framed))
                 })
-                .collect();
-            for (split, rec) in encoded {
-                let idx = match split {
-                    Split::Train => 0,
-                    Split::Validation => 1,
-                    Split::Test => 2,
-                };
-                split_records[idx].push(rec);
-            }
-            let mut total = 0u64;
-            for (idx, split) in [Split::Train, Split::Validation, Split::Test]
-                .iter()
-                .enumerate()
-            {
-                if split_records[idx].is_empty() {
-                    continue;
-                }
-                let spec =
-                    ShardSpec::new(format!("fusion/{}", split.name()), cfg_shard.shard_bytes);
-                let manifest = ShardWriter::new(spec, sink.as_ref())
-                    .write_all(&split_records[idx])
-                    .map_err(|e| format!("{e}"))?;
-                total += manifest.payload_bytes;
-                for shard in &manifest.shards {
-                    let content = sink.read_file(&shard.name).map_err(|e| format!("{e}"))?;
-                    ledger_shard.record(
-                        "shard",
-                        [
-                            ("split".to_string(), split.name().to_string()),
-                            ("format".to_string(), "tfrecord".to_string()),
-                        ],
-                        vec![],
-                        vec![Artifact::new(&shard.name, &content)],
-                    );
-                }
-            }
+                .collect::<Result<_, String>>()?;
             c.records = data.windows.len() as u64;
-            c.bytes = total;
+            c.bytes = write_split_shards(
+                sink.as_ref(),
+                &ledger_shard,
+                "fusion",
+                cfg_shard.shard_bytes,
+                "tfrecord",
+                records,
+            )?;
             Ok(data)
         })
         .build()
@@ -551,36 +514,8 @@ pub fn run(cfg: &FusionConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRun, 
             shape: vec![cfg.window_len],
         })
         .collect();
-    manifest.standard_format = true;
-    manifest.ingest_validated = true;
-    manifest.metadata_enriched = true;
-    manifest.high_throughput_ingest = true;
-    manifest.ingest_automated = true;
-    manifest.aligned_initial = true;
-    manifest.aligned_standardized = true;
-    manifest.alignment_automated = true;
-    manifest.normalized_initial = true;
-    manifest.normalized_final = true;
-    manifest.transform_audited = true;
-    manifest.label_coverage = 1.0; // every surviving window carries a label
-    manifest.features_extracted = true;
-    manifest.features_validated = true;
-    manifest.split_assigned = true;
-    manifest.sharded = true;
-
-    let shard_files = sink
-        .list()?
-        .into_iter()
-        .filter(|n| n.starts_with("fusion/") && n.ends_with(".shard"))
-        .collect();
-
-    run_span.add_items(manifest.records);
-    Ok(DomainRun {
-        manifest,
-        stages: run.stages,
-        ledger,
-        shard_files,
-    })
+    DomainRun::completed(manifest, run.stages, ledger, sink.as_ref(), ".shard")
+        .inspect(|run| run_span.add_items(run.manifest.records))
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //!    carries per-sample metadata, split by structure key.
 
 use crate::cached::{self, OptionallyCached};
-use crate::{DomainError, DomainRun, Item};
+use crate::{by_split, split_of, DomainError, DomainRun, Item};
 use drai_cache::StageCache;
 use drai_core::dataset::{DatasetManifest, Modality, VariableSpec};
 use drai_core::pipeline::{Pipeline, StageCounters};
@@ -29,7 +29,7 @@ use drai_io::sink::{MemSink, StorageSink};
 use drai_provenance::{Artifact, Ledger};
 use drai_tensor::stats::Welford;
 use drai_tensor::Tensor;
-use drai_transform::split::{assign, Fractions, Split};
+use drai_transform::split::{Fractions, Split};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -285,18 +285,31 @@ fn parse_stage(data: MaterialsData, c: &mut StageCounters) -> Result<MaterialsDa
     Ok(data)
 }
 
+/// Frame `i`'s energy per atom (the parse stage checked it is there).
+fn energy_per_atom(i: usize, frame: &Frame) -> Result<f64, String> {
+    let energy = frame
+        .energy()
+        .ok_or_else(|| format!("frame {i}: missing energy"))?;
+    Ok(energy / frame.atoms.len() as f64)
+}
+
 /// Stage body: per-atom energy statistics (parallel Welford merge).
 fn normalize_stage(
     ledger: &Ledger,
     mut data: MaterialsData,
     c: &mut StageCounters,
 ) -> Result<MaterialsData, String> {
-    let w = data
+    let per_atom = data
         .frames
+        .iter()
+        .enumerate()
+        .map(|(i, f)| energy_per_atom(i, f))
+        .collect::<Result<Vec<f64>, String>>()?;
+    let w = per_atom
         .par_iter()
-        .map(|f| {
+        .map(|&e| {
             let mut w = Welford::new();
-            w.push(f.energy().expect("validated") / f.atoms.len() as f64);
+            w.push(e);
             w
         })
         .reduce(Welford::new, |a, b| a.merge(&b));
@@ -364,7 +377,7 @@ fn encode_stage(
                     .map_err(|e| format!("{e}"))?,
                 edges: Tensor::from_vec(edges, &[nedges, 2]).map_err(|e| format!("{e}"))?,
                 edge_lengths: Tensor::from_vec(lens, &[nedges]).map_err(|e| format!("{e}"))?,
-                energy_per_atom: (frame.energy().expect("validated") / n as f64 - e_mean) / e_std,
+                energy_per_atom: (energy_per_atom(si, frame)? - e_mean) / e_std,
                 forces: Tensor::from_vec(forces, &[n, 3]).map_err(|e| format!("{e}"))?,
             })
         })
@@ -391,63 +404,50 @@ fn shard_stage(
     data: MaterialsData,
     c: &mut StageCounters,
 ) -> Result<MaterialsData, String> {
-    let mut writers = [BpWriter::new(), BpWriter::new(), BpWriter::new()];
-    let mut sidecars = [String::new(), String::new(), String::new()];
-    let mut counts = [0usize; 3];
-    for g in &data.graphs {
-        let split = assign(
-            &format!("structure-{}", g.structure_id),
-            cfg.seed,
-            cfg.fractions,
-        )
-        .expect("validated fractions");
-        let idx = match split {
-            Split::Train => 0,
-            Split::Validation => 1,
-            Split::Test => 2,
-        };
-        let mut energy = Tensor::<f64>::zeros(&[1]);
-        energy.set(&[0], g.energy_per_atom).expect("index 0");
-        writers[idx].append(&ProcessGroup {
-            name: format!("structure-{}", g.structure_id),
-            step: g.structure_id as u64,
-            vars: vec![
-                BpVar::from_tensor("node_features", &g.node_features),
-                BpVar::from_tensor("edges", &g.edges),
-                BpVar::from_tensor("edge_lengths", &g.edge_lengths),
-                BpVar::from_tensor("energy_per_atom", &energy),
-                BpVar::from_tensor("forces", &g.forces),
-            ],
-        });
-        sidecars[idx].push_str(
-            &Json::obj([
-                ("structure", Json::from(g.structure_id)),
-                ("atoms", Json::from(g.node_features.shape()[0])),
-                ("edges", Json::from(g.edge_lengths.len())),
-                ("energy_per_atom", Json::from(g.energy_per_atom)),
-            ])
-            .to_string_compact(),
-        );
-        sidecars[idx].push('\n');
-        counts[idx] += 1;
-    }
-    let mut total = 0u64;
-    for (idx, split) in [Split::Train, Split::Validation, Split::Test]
+    let tagged = data
+        .graphs
         .iter()
-        .enumerate()
-    {
-        if counts[idx] == 0 {
+        .map(|g| {
+            let key = format!("structure-{}", g.structure_id);
+            Ok((split_of(&key, cfg.seed, cfg.fractions)?, g))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let mut total = 0u64;
+    for (split, graphs) in Split::ALL.into_iter().zip(by_split(tagged)) {
+        if graphs.is_empty() {
             continue;
         }
-        let writer = std::mem::take(&mut writers[idx]);
-        // take() leaves a default BpWriter (no magic); only the
-        // original, which has magic + groups, is finished here.
+        let mut writer = BpWriter::new();
+        let mut sidecar = String::new();
+        for g in graphs {
+            writer.append(&ProcessGroup {
+                name: format!("structure-{}", g.structure_id),
+                step: g.structure_id as u64,
+                vars: vec![
+                    BpVar::from_tensor("node_features", &g.node_features),
+                    BpVar::from_tensor("edges", &g.edges),
+                    BpVar::from_tensor("edge_lengths", &g.edge_lengths),
+                    BpVar::from_tensor("energy_per_atom", &Tensor::full(&[1], g.energy_per_atom)),
+                    BpVar::from_tensor("forces", &g.forces),
+                ],
+            });
+            sidecar.push_str(
+                &Json::obj([
+                    ("structure", Json::from(g.structure_id)),
+                    ("atoms", Json::from(g.node_features.shape()[0])),
+                    ("edges", Json::from(g.edge_lengths.len())),
+                    ("energy_per_atom", Json::from(g.energy_per_atom)),
+                ])
+                .to_string_compact(),
+            );
+            sidecar.push('\n');
+        }
         let bytes = writer.finish();
         let name = format!("{prefix}/{}.bp", split.name());
         sink.write_file(&name, &bytes).map_err(|e| format!("{e}"))?;
         sink.write_file(
             &format!("{prefix}/{}.jsonl", split.name()),
-            sidecars[idx].as_bytes(),
+            sidecar.as_bytes(),
         )
         .map_err(|e| format!("{e}"))?;
         total += bytes.len() as u64;
@@ -586,36 +586,8 @@ pub fn run(cfg: &MaterialsConfig, sink: Arc<dyn StorageSink>) -> Result<DomainRu
             shape: vec![],
         },
     ];
-    manifest.standard_format = true;
-    manifest.ingest_validated = true;
-    manifest.metadata_enriched = true;
-    manifest.high_throughput_ingest = true;
-    manifest.ingest_automated = true;
-    manifest.aligned_initial = true;
-    manifest.aligned_standardized = true;
-    manifest.alignment_automated = true;
-    manifest.normalized_initial = true;
-    manifest.normalized_final = true;
-    manifest.transform_audited = true;
-    manifest.label_coverage = 1.0; // every structure carries energy+forces
-    manifest.features_extracted = true;
-    manifest.features_validated = true;
-    manifest.split_assigned = true;
-    manifest.sharded = true;
-
-    let shard_files = sink
-        .list()?
-        .into_iter()
-        .filter(|n| n.starts_with("materials/") && n.ends_with(".bp"))
-        .collect();
-
-    run_span.add_items(manifest.records);
-    Ok(DomainRun {
-        manifest,
-        stages: run.stages,
-        ledger,
-        shard_files,
-    })
+    DomainRun::completed(manifest, run.stages, ledger, sink.as_ref(), ".bp")
+        .inspect(|run| run_span.add_items(run.manifest.records))
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 use crate::bytes::{arr4, arr8};
 use crate::{malformed, FormatError};
 use drai_io::checksum::crc32c;
-use drai_tensor::{DType, Element, Tensor};
+use drai_tensor::{element_count, DType, Element, Tensor};
 
 const MAGIC: &[u8; 5] = b"BPLT\x01";
 const TRAILER: &[u8; 4] = b"BPLT";
@@ -301,8 +301,8 @@ impl<'a> BpReader<'a> {
             }
             let dlen = c.u64()? as usize;
             let data = c.take(dlen)?.to_vec();
-            let elems: usize = shape.iter().product();
-            if data.len() != elems * dtype.size_bytes() {
+            let size = element_count(&shape).and_then(|n| n.checked_mul(dtype.size_bytes()));
+            if size != Some(data.len()) {
                 return Err(malformed("bp", format!("{vname}: data/shape mismatch")));
             }
             vars.push(BpVar {

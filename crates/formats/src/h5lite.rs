@@ -26,7 +26,7 @@
 use crate::bytes::{arr4, arr8};
 use crate::{malformed, FormatError};
 use drai_io::checksum::crc32c;
-use drai_tensor::{DType, Element, Tensor};
+use drai_tensor::{element_count, DType, Element, Tensor};
 use std::collections::BTreeMap;
 
 const MAGIC: &[u8; 8] = b"H5LT\x01\0\0\0";
@@ -402,8 +402,9 @@ impl H5File {
                         let off = c.u64()? as usize;
                         let len = c.u64()? as usize;
                         let crc = c.u32()?;
-                        let chunk = bytes
-                            .get(off..off + len)
+                        let chunk = off
+                            .checked_add(len)
+                            .and_then(|end| bytes.get(off..end))
                             .ok_or_else(|| malformed("h5lite", "chunk out of range"))?;
                         if crc32c(chunk) != crc {
                             return Err(FormatError::Io(drai_io::IoError::ChecksumMismatch {
@@ -412,8 +413,9 @@ impl H5File {
                         }
                         data.extend_from_slice(chunk);
                     }
-                    let elems: usize = shape.iter().product();
-                    if data.len() != elems * dtype.size_bytes() {
+                    let size =
+                        element_count(&shape).and_then(|n| n.checked_mul(dtype.size_bytes()));
+                    if size != Some(data.len()) {
                         return Err(malformed("h5lite", format!("{path}: data/shape mismatch")));
                     }
                     Node::Dataset(Dataset {

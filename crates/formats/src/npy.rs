@@ -13,7 +13,7 @@
 //! ```
 
 use crate::{malformed, unsupported, FormatError};
-use drai_tensor::{DType, Element, Tensor};
+use drai_tensor::{element_count, DType, Element, Tensor};
 
 const MAGIC: &[u8; 6] = b"\x93NUMPY";
 
@@ -112,8 +112,11 @@ pub fn parse_header(bytes: &[u8]) -> Result<NpyHeader, FormatError> {
     let close = shape_src
         .find(')')
         .ok_or_else(|| malformed("npy", "shape paren"))?;
+    let dims = shape_src
+        .get(open + 1..close)
+        .ok_or_else(|| malformed("npy", "shape parens out of order"))?;
     let mut shape = Vec::new();
-    for part in shape_src[open + 1..close].split(',') {
+    for part in dims.split(',') {
         let part = part.trim();
         if part.is_empty() {
             continue;
@@ -158,10 +161,12 @@ pub fn read_npy<T: Element>(bytes: &[u8]) -> Result<Tensor<T>, FormatError> {
             ),
         ));
     }
-    let n: usize = header.shape.iter().product();
-    let need = n * header.dtype.size_bytes();
+    let need = element_count(&header.shape)
+        .and_then(|n| n.checked_mul(header.dtype.size_bytes()))
+        .ok_or_else(|| malformed("npy", format!("shape {:?} overflows", header.shape)))?;
     let data = bytes
-        .get(header.data_offset..header.data_offset + need)
+        .get(header.data_offset..)
+        .and_then(|rest| rest.get(..need))
         .ok_or_else(|| malformed("npy", "truncated data"))?;
     Tensor::from_le_bytes(data, &header.shape)
         .map_err(|e| malformed("npy", format!("shape error: {e}")))

@@ -10,7 +10,7 @@
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | `no-panic-in-lib` | no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` (or indexing-adjacent `assert!`) in library code of `drai-core`, `drai-io`, `drai-formats`, `drai-transform` |
+//! | `no-panic-in-lib` | no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` (or indexing-adjacent `assert!`) in library code of `drai-core`, `drai-io`, `drai-formats`, `drai-transform`, `drai-domains` |
 //! | `telemetry-names` | metric-name literals match the dotted grammar and the `METRIC_FAMILIES` registry in `drai-telemetry`, and every registered family is emitted somewhere |
 //! | `unsafe-audit` | every `unsafe` token carries an adjacent `// SAFETY:` comment |
 //! | `shim-parity` | shim crates import only `std` (no cross-shim or workspace deps), keeping them deletable |

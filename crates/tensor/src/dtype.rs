@@ -24,6 +24,16 @@ pub enum DType {
 }
 
 impl DType {
+    /// Every dtype, in [`DType::code`] order.
+    pub const ALL: [DType; 6] = [
+        DType::F32,
+        DType::F64,
+        DType::I32,
+        DType::I64,
+        DType::U8,
+        DType::Bool,
+    ];
+
     /// Size of one element in bytes.
     pub const fn size_bytes(self) -> usize {
         match self {

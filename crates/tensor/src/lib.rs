@@ -41,5 +41,5 @@ pub mod view;
 
 pub use dtype::{DType, Element};
 pub use grid::LatLonGrid;
-pub use tensor::{Tensor, TensorError};
+pub use tensor::{element_count, Tensor, TensorError};
 pub use view::TensorView;

@@ -35,6 +35,11 @@ pub enum TensorError {
         /// Right-hand shape.
         right: Vec<usize>,
     },
+    /// The shape's element count (or its byte size) overflows `usize`.
+    ShapeOverflow {
+        /// Requested shape.
+        shape: Vec<usize>,
+    },
 }
 
 impl fmt::Display for TensorError {
@@ -54,11 +59,31 @@ impl fmt::Display for TensorError {
             TensorError::IncompatibleShapes { left, right } => {
                 write!(f, "incompatible shapes {left:?} vs {right:?}")
             }
+            TensorError::ShapeOverflow { shape } => {
+                write!(f, "shape {shape:?} is too large to address")
+            }
         }
     }
 }
 
 impl std::error::Error for TensorError {}
+
+/// Number of elements in `shape`, or `None` when the product overflows
+/// `usize`. Shapes read from untrusted headers go through this, never
+/// through an unchecked `product()`.
+pub fn element_count(shape: &[usize]) -> Option<usize> {
+    if shape.contains(&0) {
+        return Some(0);
+    }
+    shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d))
+}
+
+/// [`element_count`], with overflow as [`TensorError::ShapeOverflow`].
+pub(crate) fn checked_count(shape: &[usize]) -> Result<usize, TensorError> {
+    element_count(shape).ok_or_else(|| TensorError::ShapeOverflow {
+        shape: shape.to_vec(),
+    })
+}
 
 /// Compute row-major (C-order) strides for a shape, in elements.
 pub(crate) fn row_major_strides(shape: &[usize]) -> Vec<usize> {
@@ -85,8 +110,7 @@ pub struct Tensor<T: Element> {
 impl<T: Element> Tensor<T> {
     /// Build a tensor from a flat vector and a shape.
     pub fn from_vec(data: Vec<T>, shape: &[usize]) -> Result<Self, TensorError> {
-        let expected: usize = shape.iter().product();
-        if data.len() != expected {
+        if data.len() != checked_count(shape)? {
             return Err(TensorError::ShapeMismatch {
                 elements: data.len(),
                 shape: shape.to_vec(),
@@ -205,8 +229,7 @@ impl<T: Element> Tensor<T> {
 
     /// Reinterpret with a new shape of identical element count.
     pub fn reshape(mut self, shape: &[usize]) -> Result<Self, TensorError> {
-        let expected: usize = shape.iter().product();
-        if self.data.len() != expected {
+        if self.data.len() != checked_count(shape)? {
             return Err(TensorError::ShapeMismatch {
                 elements: self.data.len(),
                 shape: shape.to_vec(),
@@ -319,9 +342,14 @@ impl<T: Element> Tensor<T> {
 
     /// Deserialize from little-endian bytes with a known shape.
     pub fn from_le_bytes(bytes: &[u8], shape: &[usize]) -> Result<Self, TensorError> {
-        let n: usize = shape.iter().product();
         let esz = T::DTYPE.size_bytes();
-        if bytes.len() != n * esz {
+        let need =
+            checked_count(shape)?
+                .checked_mul(esz)
+                .ok_or_else(|| TensorError::ShapeOverflow {
+                    shape: shape.to_vec(),
+                })?;
+        if bytes.len() != need {
             return Err(TensorError::ShapeMismatch {
                 elements: bytes.len() / esz,
                 shape: shape.to_vec(),
@@ -397,6 +425,31 @@ mod tests {
             err,
             TensorError::ShapeMismatch { elements: 5, .. }
         ));
+    }
+
+    #[test]
+    fn overflowing_shapes_are_errors() {
+        let huge = [1usize << 32, 1 << 32];
+        assert_eq!(element_count(&huge), None);
+        assert_eq!(element_count(&[usize::MAX, 0]), Some(0));
+        assert_eq!(element_count(&[]), Some(1));
+        let overflow = TensorError::ShapeOverflow {
+            shape: huge.to_vec(),
+        };
+        assert_eq!(
+            Tensor::<f32>::from_vec(vec![], &huge),
+            Err(overflow.clone())
+        );
+        assert_eq!(Tensor::<f32>::from_le_bytes(&[], &huge), Err(overflow));
+        // The element count fits, its byte size does not.
+        assert!(matches!(
+            Tensor::<f64>::from_le_bytes(&[], &[usize::MAX / 4]),
+            Err(TensorError::ShapeOverflow { .. })
+        ));
+        assert!(Tensor::from_vec(vec![1_i32], &[1])
+            .unwrap()
+            .reshape(&huge)
+            .is_err());
     }
 
     #[test]

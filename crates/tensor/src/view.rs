@@ -5,7 +5,7 @@
 //! fan-out never copies the underlying field data.
 
 use crate::dtype::Element;
-use crate::tensor::{Tensor, TensorError};
+use crate::tensor::{checked_count, Tensor, TensorError};
 use std::borrow::Cow;
 
 /// A borrowed, contiguous, row-major view over tensor data.
@@ -40,7 +40,7 @@ impl<'a, T: Element> TensorView<'a, T> {
 
     /// Construct a view over a flat slice with an explicit shape.
     pub fn from_slice(data: &'a [T], shape: &'a [usize]) -> Result<Self, TensorError> {
-        if data.len() != shape.iter().product::<usize>() {
+        if data.len() != checked_count(shape)? {
             return Err(TensorError::ShapeMismatch {
                 elements: data.len(),
                 shape: shape.to_vec(),

@@ -23,6 +23,14 @@ pub enum Split {
 }
 
 impl Split {
+    /// All splits, in (train, validation, test) order.
+    pub const ALL: [Split; 3] = [Split::Train, Split::Validation, Split::Test];
+
+    /// 0-based position in [`Split::ALL`].
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
     /// Conventional directory/prefix name.
     pub fn name(self) -> &'static str {
         match self {
@@ -240,6 +248,13 @@ mod tests {
         };
         for i in 0..100 {
             assert_eq!(assign(&format!("k{i}"), 0, f).unwrap(), Split::Train);
+        }
+    }
+
+    #[test]
+    fn all_is_in_index_order() {
+        for (i, split) in Split::ALL.into_iter().enumerate() {
+            assert_eq!(split.index(), i);
         }
     }
 

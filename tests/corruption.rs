@@ -9,6 +9,7 @@
 //! CRC framing may lose data under corruption; it must never fabricate
 //! or silently alter it.
 
+use drai::formats::npy::read_npy;
 use drai::io::codec::CodecId;
 use drai::io::shard::{parse_shard, ShardReader, ShardSpec, ShardWriter};
 use drai::io::sink::{MemSink, StorageSink};
@@ -216,4 +217,20 @@ fn parse_shard_rejects_hostile_inputs_without_panicking() {
         parse_shard(&data, "x", CodecId::Raw),
         Err(IoError::Format(_))
     ));
+}
+
+#[test]
+fn hostile_npy_headers_are_errors_not_panics() {
+    for header in [
+        // Shape parens out of order.
+        "{'descr': '<f4', 'fortran_order': False, 'shape': )3, 4(, }",
+        // An element count past usize: wrapping it would claim 2^64
+        // elements over an empty payload.
+        "{'descr': '<f4', 'fortran_order': False, 'shape': (4294967296, 4294967296), }",
+    ] {
+        let mut bytes = b"\x93NUMPY\x01\x00".to_vec();
+        bytes.extend((header.len() as u16).to_le_bytes());
+        bytes.extend(header.as_bytes());
+        assert!(read_npy::<f32>(&bytes).is_err(), "accepted {header}");
+    }
 }

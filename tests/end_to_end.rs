@@ -4,11 +4,14 @@
 
 use drai::core::readiness::{ProcessingStage, ReadinessLevel};
 use drai::core::ReadinessAssessor;
-use drai::domains::{bio, climate, fusion, materials};
+use drai::domains::{bio, climate, fusion, materials, DomainError, DomainRun};
+use drai::io::checksum::content_hash128;
+use drai::io::json::Json;
 use drai::io::shard::ShardReader;
 use drai::io::sink::{LocalFs, MemSink, StorageSink};
 use drai::provenance::ArtifactId;
 use drai::tensor::LatLonGrid;
+use drai::transform::split::Fractions;
 use std::sync::Arc;
 
 fn climate_cfg() -> climate::ClimateConfig {
@@ -150,21 +153,119 @@ fn provenance_links_shards_to_raw_inputs() {
     );
 }
 
+type Runner = fn(Fractions, Arc<dyn StorageSink>) -> Result<DomainRun, DomainError>;
+
+/// The four archetypes, each run with this file's config and the given
+/// split fractions.
+fn archetypes() -> [(&'static str, Runner); 4] {
+    [
+        ("climate", |fractions, sink| {
+            let cfg = climate::ClimateConfig {
+                fractions,
+                ..climate_cfg()
+            };
+            climate::run(&cfg, sink)
+        }),
+        ("fusion", |fractions, sink| {
+            let cfg = fusion::FusionConfig {
+                fractions,
+                ..fusion_cfg()
+            };
+            fusion::run(&cfg, sink)
+        }),
+        ("bio", |fractions, sink| {
+            let cfg = bio::BioConfig {
+                fractions,
+                ..bio_cfg()
+            };
+            bio::run(&cfg, sink)
+        }),
+        ("materials", |fractions, sink| {
+            let cfg = materials::MaterialsConfig {
+                fractions,
+                ..materials_cfg()
+            };
+            materials::run(&cfg, sink)
+        }),
+    ]
+}
+
+/// One digest over everything a run produced: every blob in `sink`
+/// (name and content digest), the manifest JSON, and the provenance
+/// ledger with its per-process `trace` ids stripped.
+fn run_digest(run: &DomainRun, sink: &dyn StorageSink) -> String {
+    let mut bytes = Vec::new();
+    for name in sink.list().unwrap() {
+        bytes.extend(name.as_bytes());
+        bytes.extend(content_hash128(&sink.read_file(&name).unwrap()));
+    }
+    bytes.extend(run.manifest.to_json().to_string_compact().as_bytes());
+    for line in run.ledger.to_jsonl().lines() {
+        let Ok(Json::Obj(mut record)) = Json::parse(line) else {
+            panic!("ledger line is not a JSON object: {line}");
+        };
+        record.remove("trace");
+        bytes.extend(Json::Obj(record).to_string_compact().as_bytes());
+    }
+    content_hash128(&bytes)
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect()
+}
+
 #[test]
 fn reproducibility_same_seed_same_shards() {
-    let cfg = climate_cfg();
-    let s1 = Arc::new(MemSink::new());
-    let s2 = Arc::new(MemSink::new());
-    climate::run(&cfg, s1.clone()).unwrap();
-    climate::run(&cfg, s2.clone()).unwrap();
-    let names1 = s1.list().unwrap();
-    assert_eq!(names1, s2.list().unwrap());
-    for name in names1 {
-        assert_eq!(
-            s1.read_file(&name).unwrap(),
-            s2.read_file(&name).unwrap(),
-            "{name} differs across identical runs"
-        );
+    // Digests recorded before the archetypes' split writer and run
+    // epilogue were shared; any change to the bytes written, the
+    // manifest or the provenance trail shows up here. The pool size is
+    // pinned because materials' parallel Welford reduce merges one
+    // partial per worker chunk, so its energy statistics (and every
+    // target normalized by them) round differently per thread count.
+    let pinned = [
+        ("climate", "c6ea7200d638244569730ed49ca3c3d0"),
+        ("fusion", "03b60a3267bca4c579d6f1b17840b3b9"),
+        ("bio", "1b6bbc1225816b1991f836f39a9492bf"),
+        ("materials", "2784d77c2d3c5ed4ea11b68090bcfac9"),
+    ];
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .unwrap();
+    for ((name, run), (pinned_name, pinned_digest)) in archetypes().into_iter().zip(pinned) {
+        assert_eq!(name, pinned_name);
+        let s1: Arc<dyn StorageSink> = Arc::new(MemSink::new());
+        let s2: Arc<dyn StorageSink> = Arc::new(MemSink::new());
+        let r1 = pool
+            .install(|| run(Fractions::standard(), s1.clone()))
+            .unwrap();
+        let r2 = pool
+            .install(|| run(Fractions::standard(), s2.clone()))
+            .unwrap();
+        let names1 = s1.list().unwrap();
+        assert_eq!(names1, s2.list().unwrap(), "{name}");
+        for blob in names1 {
+            assert_eq!(
+                s1.read_file(&blob).unwrap(),
+                s2.read_file(&blob).unwrap(),
+                "{name}: {blob} differs across identical runs"
+            );
+        }
+        let digest = run_digest(&r1, s1.as_ref());
+        assert_eq!(digest, run_digest(&r2, s2.as_ref()), "{name}");
+        assert_eq!(digest, pinned_digest, "{name}: output changed");
+    }
+}
+
+#[test]
+fn bad_split_fractions_are_an_error_not_a_panic() {
+    let bad = Fractions {
+        train: 0.9,
+        validation: 0.2,
+        test: 0.1,
+    };
+    for (name, run) in archetypes() {
+        let sink: Arc<dyn StorageSink> = Arc::new(MemSink::new());
+        assert!(run(bad, sink).is_err(), "{name} accepted bad fractions");
     }
 }
 
